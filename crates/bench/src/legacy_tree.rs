@@ -2,13 +2,11 @@
 //!
 //! This is the row-major, rebuild-every-node split finder exactly as it
 //! shipped before the histogram engine (column-major bins, pooled buffers,
-//! sibling subtraction) replaced it. It exists for two reasons:
-//!
-//! * the `train` benchmark measures the engine's speedup against this
-//!   baseline rather than against a guess;
-//! * the equivalence tests pin `HistogramMode::Rebuild` to be bit-identical
-//!   to this implementation, so the engine's reference mode is anchored to
-//!   real history instead of to itself.
+//! sibling subtraction) replaced it. It is the workspace's one tree-fit
+//! reference: the equivalence tests require `Tree::fit` to choose the same
+//! splits as this implementation with leaf values equal up to float
+//! rounding, so the engine is anchored to real history instead of to
+//! itself.
 //!
 //! Only the sequential path is preserved (the historical parallel search was
 //! bit-identical to it by construction). Do not "improve" this module; its
@@ -46,8 +44,6 @@ struct BestSplit {
 
 /// Fit a tree with the pre-engine algorithm and return its node array
 /// (root first) — directly comparable to `Tree::nodes()`.
-///
-/// `params.histogram_mode` is ignored: this implementation predates it.
 ///
 /// # Panics
 /// Panics if `rows` is empty or the inputs disagree on the number of rows.

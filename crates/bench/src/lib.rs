@@ -1,5 +1,5 @@
-//! Shared experiment harness used by the per-figure binaries and the
-//! Criterion benchmarks.
+//! Shared experiment harness used by the per-figure binaries and by the
+//! `perfbench` benchmark.
 //!
 //! Every table and figure of the paper has a corresponding binary in
 //! `src/bin/` (see DESIGN.md for the index). They all build on the helpers in

@@ -13,7 +13,7 @@ use crate::ladder::{FallibleCategorizer, Infallible, LadderConfig, LadderPolicy}
 use crate::model::{CategoryModel, CategoryModelConfig};
 use crate::policy::AdaptivePolicy;
 use byom_cost::CostModel;
-use byom_gbdt::{GbdtError, GbdtParams, HistogramMode};
+use byom_gbdt::{GbdtError, GbdtParams};
 use byom_trace::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +26,6 @@ pub struct ByomPipelineBuilder {
     valid_fraction: f64,
     adaptive: AdaptiveConfig,
     parallelism: usize,
-    histogram_mode: HistogramMode,
 }
 
 impl Default for ByomPipelineBuilder {
@@ -38,7 +37,6 @@ impl Default for ByomPipelineBuilder {
             valid_fraction: 0.2,
             adaptive: AdaptiveConfig::default(),
             parallelism: 0,
-            histogram_mode: HistogramMode::default(),
         }
     }
 }
@@ -87,15 +85,6 @@ impl ByomPipelineBuilder {
         self
     }
 
-    /// How per-node histograms are built while fitting trees (see
-    /// [`HistogramMode`]). The default, `Subtraction`, derives each larger
-    /// sibling as `parent − child` and is fully deterministic; `Rebuild` is
-    /// the bit-exact pre-engine reference path.
-    pub fn histogram_mode(mut self, mode: HistogramMode) -> Self {
-        self.histogram_mode = mode;
-        self
-    }
-
     /// Finalize the configuration.
     pub fn build(self) -> ByomPipeline {
         ByomPipeline { builder: self }
@@ -124,7 +113,6 @@ impl ByomPipeline {
                 num_trees: b.gbdt_trees,
                 tree: byom_gbdt::TreeParams {
                     max_depth: b.gbdt_max_depth,
-                    histogram_mode: b.histogram_mode,
                     ..byom_gbdt::TreeParams::default()
                 },
                 parallelism: b.parallelism,
@@ -266,13 +254,11 @@ mod tests {
             .gbdt_trees(50)
             .gbdt_max_depth(4)
             .valid_fraction(0.1)
-            .histogram_mode(HistogramMode::Rebuild)
             .build();
         let cfg = p.model_config();
         assert_eq!(cfg.num_categories, 7);
         assert_eq!(cfg.gbdt.num_trees, 50);
         assert_eq!(cfg.gbdt.tree.max_depth, 4);
-        assert_eq!(cfg.gbdt.tree.histogram_mode, HistogramMode::Rebuild);
         assert_eq!(cfg.valid_fraction, 0.1);
     }
 

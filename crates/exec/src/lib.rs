@@ -162,12 +162,6 @@ pub fn pool_capacity() -> usize {
     pool::capacity()
 }
 
-/// Number of tasks the pool workers have executed since the pool started.
-/// Telemetry for tests and benches; the value only grows.
-pub fn pool_tasks_executed() -> usize {
-    pool::tasks_executed()
-}
-
 /// Execute `f(0..len)` under the resolved budget for `requested`,
 /// returning results in index order.
 fn run_map<U, F>(requested: usize, len: usize, f: F) -> Vec<U>

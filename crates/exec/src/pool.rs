@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// An opaque unit of work. Tickets are always safe to run late or never —
@@ -53,8 +52,6 @@ struct Shared {
     /// re-checked the queues under this lock can never miss a wake-up.
     sleep: Mutex<u64>,
     wake: Condvar,
-    /// Tasks executed since the pool started (telemetry for tests/benches).
-    executed: AtomicUsize,
 }
 
 /// The persistent pool: `workers` threads plus any number of calling
@@ -77,11 +74,6 @@ pub(crate) fn capacity() -> usize {
     global().workers + 1
 }
 
-/// Number of tasks the pool has executed since start (test/bench telemetry).
-pub(crate) fn tasks_executed() -> usize {
-    global().shared.executed.load(Ordering::Relaxed)
-}
-
 impl Pool {
     fn start() -> Pool {
         let slots = crate::env_thread_override()
@@ -92,7 +84,6 @@ impl Pool {
             injector: Mutex::new(VecDeque::new()),
             sleep: Mutex::new(0),
             wake: Condvar::new(),
-            executed: AtomicUsize::new(0),
         });
         let mut spawned = 0usize;
         for index in 0..workers {
@@ -200,7 +191,6 @@ fn worker_loop(shared: &Shared, index: usize) {
             // are caught per-chunk there), but the worker must survive it:
             // a dead worker would strand queued tickets forever.
             let _ = catch_unwind(AssertUnwindSafe(task));
-            shared.executed.fetch_add(1, Ordering::Relaxed);
             continue;
         }
         // Sleep protocol: pushes bump the epoch under `sleep` *after*

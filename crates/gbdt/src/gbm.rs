@@ -228,17 +228,7 @@ impl GradientBoostedTrees {
                     // value from the partition the fit computes anyway, so
                     // the training-score update below is one add per row
                     // with no tree walk — bit-identical to re-traversing.
-                    let fit = Tree::fit_scored(
-                        &binned,
-                        &mapper,
-                        &grad,
-                        &hess,
-                        sample,
-                        params.tree,
-                        // Inherit this fan-out's budget (0 = ambient): nested
-                        // histogram fills share the round's thread quota.
-                        0,
-                    );
+                    let fit = Tree::fit_scored(&binned, &mapper, &grad, &hess, sample, params.tree);
                     let valid_preds: Vec<f64> = valid
                         .map(|v| {
                             (0..v.len())

@@ -12,11 +12,11 @@
 //! * **Buffer pooling** ([`HistogramPool`]): per-node histograms are
 //!   recycled across nodes, so a depth-6 tree allocates a handful of
 //!   buffers instead of one per feature per node.
-//! * **Sibling subtraction** ([`subtract_sibling`], [`HistogramMode`]):
-//!   a node's histogram is the bin-wise sum of its children's, so after
-//!   building the histogram of the *smaller* child the sibling comes from
-//!   `parent − child` in `O(bins)` instead of `O(rows)` — roughly halving
-//!   histogram work per tree level.
+//! * **Sibling subtraction** ([`subtract_sibling`]): a node's histogram is
+//!   the bin-wise sum of its children's, so after building the histogram of
+//!   the *smaller* child the sibling comes from `parent − child` in
+//!   `O(bins)` instead of `O(rows)` — roughly halving histogram work per
+//!   tree level.
 //!
 //! # Determinism
 //!
@@ -24,30 +24,13 @@
 //! filled by exactly one task, so the accumulated floats are bit-identical
 //! for any thread count ([`fill_histogram`] reduces per-feature results in
 //! feature order). Subtraction is a fixed bin-order pass on the calling
-//! thread. Both [`HistogramMode`]s are therefore fully deterministic; they
-//! differ from *each other* (by float rounding only) because subtraction
-//! legitimately changes the accumulation order.
+//! thread, so a fit is fully deterministic. It differs from rebuilding every
+//! node's histogram from its rows (the pre-engine algorithm) by float
+//! rounding only, because subtraction changes the accumulation order.
 
 use crate::binning::BinMapper;
 use crate::dataset::Dataset;
 use byom_exec::prelude::*;
-use serde::{Deserialize, Serialize};
-
-/// How per-node histograms are obtained while growing a tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum HistogramMode {
-    /// Build the histogram of the smaller child from its rows and derive
-    /// the sibling as `parent − child`. Roughly halves histogram work per
-    /// level; bit-identical across runs and thread counts, but its float
-    /// accumulation order (and therefore the last ULPs of gains and leaf
-    /// values) legitimately differs from [`HistogramMode::Rebuild`].
-    #[default]
-    Subtraction,
-    /// Rebuild every node's histogram from its rows. The bit-exact
-    /// reference path: trees match the pre-engine row-major implementation
-    /// bit for bit.
-    Rebuild,
-}
 
 /// Column-major matrix of per-feature bin indices.
 ///

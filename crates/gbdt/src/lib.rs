@@ -46,7 +46,7 @@ pub use binning::BinMapper;
 pub use dataset::Dataset;
 pub use error::GbdtError;
 pub use gbm::{GbdtParams, GradientBoostedTrees, TrainReport};
-pub use histogram::{BinnedMatrix, FeatureLayout, HistBin, HistogramMode, HistogramPool};
+pub use histogram::{BinnedMatrix, FeatureLayout, HistBin, HistogramPool};
 pub use importance::{auc_drop_importance, split_gain_importance};
 pub use metrics::{accuracy, binary_auc, confusion_matrix, log_loss, top_k_accuracy};
 pub use tree::{Node, ScoredFit, Tree, TreeParams};

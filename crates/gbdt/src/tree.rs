@@ -5,14 +5,12 @@
 //! values use the standard second-order (Newton) estimate `-G / (H + λ)`.
 //!
 //! The histogram hot path runs on the engine in [`crate::histogram`]:
-//! column-major bins, pooled buffers, and (by default) the sibling
-//! subtraction trick — see [`HistogramMode`] for the two build strategies
-//! and their determinism contract.
+//! column-major bins, pooled buffers, and the sibling subtraction trick —
+//! see that module for the determinism contract.
 
 use crate::binning::BinMapper;
 use crate::histogram::{
-    fill_histogram, subtract_sibling, BinnedMatrix, FeatureLayout, HistBin, HistogramMode,
-    HistogramPool,
+    fill_histogram, subtract_sibling, BinnedMatrix, FeatureLayout, HistBin, HistogramPool,
 };
 use serde::{Deserialize, Serialize};
 
@@ -27,10 +25,6 @@ pub struct TreeParams {
     pub l2_lambda: f64,
     /// Minimum split gain required to split a node (γ).
     pub min_split_gain: f64,
-    /// How per-node histograms are built (see [`HistogramMode`]). The
-    /// default, [`HistogramMode::Subtraction`], halves histogram work per
-    /// level; [`HistogramMode::Rebuild`] is the bit-exact reference path.
-    pub histogram_mode: HistogramMode,
 }
 
 impl Default for TreeParams {
@@ -40,7 +34,6 @@ impl Default for TreeParams {
             min_samples_leaf: 5,
             l2_lambda: 1.0,
             min_split_gain: 1e-6,
-            histogram_mode: HistogramMode::default(),
         }
     }
 }
@@ -97,7 +90,7 @@ struct FitContext<'a> {
     hess: &'a [f64],
     params: TreeParams,
     /// Worker threads for the per-node column-parallel histogram fill
-    /// (1 = sequential).
+    /// (the ambient budget at the start of the fit; 1 = sequential).
     parallelism: usize,
 }
 
@@ -115,6 +108,14 @@ impl Tree {
     ///   [`BinMapper::bin_dataset`].
     /// * `grad`/`hess` are per-row first/second order derivatives of the loss.
     ///
+    /// Large nodes fill their per-feature histograms column-parallel under
+    /// the ambient `byom_exec` thread budget (`byom_exec::install(1, ..)`
+    /// makes the fit strictly sequential). The result is **bit-identical**
+    /// for any budget: each feature column is filled in row order by exactly
+    /// one task and the per-feature histograms are reduced in feature order,
+    /// so no float accumulation order depends on the thread count or steal
+    /// schedule.
+    ///
     /// # Panics
     /// Panics if `rows` is empty or the inputs disagree on the number of rows.
     pub fn fit(
@@ -125,37 +126,13 @@ impl Tree {
         rows: &[usize],
         params: TreeParams,
     ) -> Tree {
-        Self::fit_with_parallelism(binned, mapper, grad, hess, rows, params, 1)
+        Self::fit_impl(binned, mapper, grad, hess, rows, params, false).tree
     }
 
-    /// Like [`Tree::fit`], but filling each node's per-feature histograms
-    /// column-parallel on up to `parallelism` threads of the shared executor
-    /// pool (`0` = inherit the ambient thread budget, `1` = strictly
-    /// sequential — including any parallelism nested below this call).
-    ///
-    /// The result is **bit-identical** to the sequential fit: each feature
-    /// column is filled in row order by exactly one task and the per-feature
-    /// histograms are reduced in feature order, so no float accumulation
-    /// order depends on the thread count or steal schedule.
-    ///
-    /// # Panics
-    /// Panics if `rows` is empty or the inputs disagree on the number of rows.
-    pub fn fit_with_parallelism(
-        binned: &BinnedMatrix,
-        mapper: &BinMapper,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        params: TreeParams,
-        parallelism: usize,
-    ) -> Tree {
-        Self::fit_impl(binned, mapper, grad, hess, rows, params, parallelism, false).tree
-    }
-
-    /// Like [`Tree::fit_with_parallelism`], but additionally returning the
-    /// fitted leaf value of **every** row of `binned` (not just `rows`),
-    /// harvested by threading a second index partition through the same
-    /// splits the fit performs. See [`ScoredFit`].
+    /// Like [`Tree::fit`], but additionally returning the fitted leaf value
+    /// of **every** row of `binned` (not just `rows`), harvested by threading
+    /// a second index partition through the same splits the fit performs.
+    /// See [`ScoredFit`].
     ///
     /// # Panics
     /// Panics if `rows` is empty or the inputs disagree on the number of rows.
@@ -166,12 +143,10 @@ impl Tree {
         hess: &[f64],
         rows: &[usize],
         params: TreeParams,
-        parallelism: usize,
     ) -> ScoredFit {
-        Self::fit_impl(binned, mapper, grad, hess, rows, params, parallelism, true)
+        Self::fit_impl(binned, mapper, grad, hess, rows, params, true)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn fit_impl(
         binned: &BinnedMatrix,
         mapper: &BinMapper,
@@ -179,7 +154,6 @@ impl Tree {
         hess: &[f64],
         rows: &[usize],
         params: TreeParams,
-        parallelism: usize,
         track_all_rows: bool,
     ) -> ScoredFit {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
@@ -198,7 +172,7 @@ impl Tree {
             grad,
             hess,
             params,
-            parallelism: byom_exec::resolve_threads(parallelism),
+            parallelism: byom_exec::current_num_threads(),
         };
         let mut tree = Tree { nodes: Vec::new() };
         let mut rows_owned: Vec<usize> = rows.to_vec();
@@ -224,10 +198,11 @@ impl Tree {
 
     /// Recursively build the subtree for `rows`, returning the node index.
     ///
-    /// `hist` is this node's histogram when the parent already produced it
-    /// (subtraction mode); `None` means "build from `rows` if a split will
-    /// actually be searched". `tracked` carries the full-training-set row
-    /// partition for [`Tree::fit_scored`] (empty when not tracking).
+    /// `hist` is this node's histogram when the parent already produced it;
+    /// `None` means "build from `rows` if a split will actually be
+    /// searched" (only the root builds its own). `tracked` carries the
+    /// full-training-set row partition for [`Tree::fit_scored`] (empty when
+    /// not tracking).
     #[allow(clippy::too_many_arguments)]
     fn build_node(
         &mut self,
@@ -265,9 +240,8 @@ impl Tree {
             return node_idx;
         }
 
-        // This node's histogram: handed down by the parent in subtraction
-        // mode, otherwise built from this node's rows (column-parallel for
-        // large nodes).
+        // This node's histogram: handed down by the parent, or built from
+        // this node's rows (column-parallel for large nodes).
         let mut hist = match hist {
             Some(h) => h,
             None => {
@@ -311,56 +285,47 @@ impl Tree {
         let (left_rows, right_rows) = rows.split_at_mut(split_point);
         let (left_tracked, right_tracked) = tracked.split_at_mut(tracked_split);
 
-        // Child histograms. Rebuild mode: children refill from their own
-        // rows. Subtraction mode: fill only the smaller child and derive
-        // the sibling as `parent − child` in the parent's buffer — unless
+        // Child histograms: fill only the smaller child and derive the
+        // sibling as `parent − child` in the parent's buffer — unless
         // neither child can split, in which case no histogram is needed.
-        let (left_hist, right_hist) = match ctx.params.histogram_mode {
-            HistogramMode::Rebuild => {
-                pool.release(hist);
-                (None, None)
-            }
-            HistogramMode::Subtraction => {
-                let left_splits = Self::may_split(ctx, left_rows.len(), depth + 1);
-                let right_splits = Self::may_split(ctx, right_rows.len(), depth + 1);
-                if !left_splits && !right_splits {
-                    pool.release(hist);
-                    (None, None)
-                } else {
-                    let (small_rows, small_is_left) = if left_rows.len() <= right_rows.len() {
-                        (&*left_rows, true)
-                    } else {
-                        (&*right_rows, false)
-                    };
-                    let mut small = pool.acquire();
-                    fill_histogram(
-                        &mut small,
-                        &ctx.layout,
-                        ctx.binned,
-                        ctx.grad,
-                        ctx.hess,
-                        small_rows,
-                        ctx.parallelism,
-                    );
-                    subtract_sibling(&mut hist, &small);
-                    let (mut lh, mut rh) = if small_is_left {
-                        (Some(small), Some(hist))
-                    } else {
-                        (Some(hist), Some(small))
-                    };
-                    if !left_splits {
-                        if let Some(h) = lh.take() {
-                            pool.release(h);
-                        }
-                    }
-                    if !right_splits {
-                        if let Some(h) = rh.take() {
-                            pool.release(h);
-                        }
-                    }
-                    (lh, rh)
+        let left_splits = Self::may_split(ctx, left_rows.len(), depth + 1);
+        let right_splits = Self::may_split(ctx, right_rows.len(), depth + 1);
+        let (left_hist, right_hist) = if !left_splits && !right_splits {
+            pool.release(hist);
+            (None, None)
+        } else {
+            let (small_rows, small_is_left) = if left_rows.len() <= right_rows.len() {
+                (&*left_rows, true)
+            } else {
+                (&*right_rows, false)
+            };
+            let mut small = pool.acquire();
+            fill_histogram(
+                &mut small,
+                &ctx.layout,
+                ctx.binned,
+                ctx.grad,
+                ctx.hess,
+                small_rows,
+                ctx.parallelism,
+            );
+            subtract_sibling(&mut hist, &small);
+            let (mut lh, mut rh) = if small_is_left {
+                (Some(small), Some(hist))
+            } else {
+                (Some(hist), Some(small))
+            };
+            if !left_splits {
+                if let Some(h) = lh.take() {
+                    pool.release(h);
                 }
             }
+            if !right_splits {
+                if let Some(h) = rh.take() {
+                    pool.release(h);
+                }
+            }
+            (lh, rh)
         };
 
         let left_idx = self.build_node(
@@ -670,34 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn both_modes_learn_the_same_structure() {
-        let xs: Vec<Vec<f64>> = (0..300)
-            .map(|i| vec![(i % 37) as f64, (i % 11) as f64])
-            .collect();
-        let ys: Vec<f64> = (0..300)
-            .map(|i| ((i % 37) as f64 * 0.3 - (i % 11) as f64).tanh())
-            .collect();
-        let sub = TreeParams {
-            histogram_mode: HistogramMode::Subtraction,
-            ..Default::default()
-        };
-        let reb = TreeParams {
-            histogram_mode: HistogramMode::Rebuild,
-            ..Default::default()
-        };
-        let (t_sub, _) = fit_regression(xs.clone(), ys.clone(), sub);
-        let (t_reb, _) = fit_regression(xs, ys, reb);
-        assert_eq!(t_sub.num_nodes(), t_reb.num_nodes());
-        for (a, b) in t_sub.nodes().iter().zip(t_reb.nodes()) {
-            assert_eq!(a.feature, b.feature);
-            assert_eq!(a.left, b.left);
-            assert_eq!(a.right, b.right);
-            assert_eq!(a.threshold, b.threshold);
-            assert!((a.value - b.value).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn scored_fit_matches_tree_walk_for_every_row() {
         let xs: Vec<Vec<f64>> = (0..200)
             .map(|i| vec![(i % 23) as f64, (i % 7) as f64])
@@ -718,7 +655,6 @@ mod tests {
             &hess,
             &sample,
             TreeParams::default(),
-            1,
         );
         assert_eq!(fit.row_values.len(), 200);
         for i in 0..200 {

@@ -105,10 +105,9 @@
 //! # }
 //! ```
 //!
-//! `cargo bench -p byom_bench --bench parallel` reports the wall-clock
-//! speedup of both levels on the current machine, and `cargo bench -p
-//! byom_bench --bench pool` compares the persistent pool's per-call
-//! overhead against spawning scoped threads per call.
+//! The `perfbench` benchmark (`BENCHMARK.json`, `perfbench/README.md`)
+//! reports training and sweep wall-clock times together with the pool's CPU
+//! utilisation during each.
 //!
 //! ## The histogram engine
 //!
@@ -116,16 +115,12 @@
 //! ([`gbdt::histogram`](byom_gbdt::histogram)): features are pre-binned
 //! into a column-major [`BinnedMatrix`](byom_gbdt::BinnedMatrix) so
 //! per-node fills stream contiguous columns, per-node buffers are pooled,
-//! and by default each split builds only the smaller child's histogram and
-//! derives the sibling as `parent − child`
-//! ([`HistogramMode::Subtraction`](byom_gbdt::HistogramMode)). Both modes
-//! are bit-identical across thread counts and repeated runs;
-//! `HistogramMode::Rebuild` additionally reproduces the pre-engine trees
-//! bit-for-bit. Pick the mode per pipeline with
-//! `ByomPipeline::builder().histogram_mode(..)` or per tree via
-//! [`TreeParams`](byom_gbdt::TreeParams). `cargo bench -p byom_bench
-//! --bench train` pins the engine's speedup over the frozen pre-engine
-//! reference.
+//! and each split builds only the smaller child's histogram and derives the
+//! sibling as `parent − child`. Fits are bit-identical across thread counts
+//! and repeated runs. Against the pre-engine algorithm, frozen in
+//! `byom_bench::legacy_tree`, they choose the same splits, and leaf values
+//! differ only in the last ULPs because subtraction changes the float
+//! accumulation order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -148,9 +143,7 @@ pub mod prelude {
         CategoryModelConfig, HashCategorizer, LadderConfig, LadderPolicy, TrainedByom,
     };
     pub use byom_cost::{CostModel, CostRates, JobCost, Placement, SavingsSummary};
-    pub use byom_gbdt::{
-        BinnedMatrix, Dataset, GbdtParams, GradientBoostedTrees, HistogramMode, TreeParams,
-    };
+    pub use byom_gbdt::{BinnedMatrix, Dataset, GbdtParams, GradientBoostedTrees, TreeParams};
     pub use byom_policies::{CategoryHeuristic, FirstFit, LifetimeMlBaseline, OraclePolicy};
     pub use byom_sim::{
         application_runtime_savings_percent, Device, JobOutcome, PlacementPolicy, SimConfig,

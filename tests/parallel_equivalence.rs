@@ -7,7 +7,7 @@ use byom::prelude::*;
 use byom_bench::{
     legacy_tree, run_clusters_parallel, run_quotas_parallel, ExperimentContext, ExperimentParams,
 };
-use byom_gbdt::{HistogramMode, Tree};
+use byom_gbdt::Tree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,10 +70,10 @@ fn tree_fit_is_identical_for_any_parallelism() {
     let hess: Vec<f64> = (0..data.len()).map(|_| rng.gen_range(0.1..1.0)).collect();
     let rows: Vec<usize> = (0..data.len()).collect();
     let params = byom_gbdt::TreeParams::default();
-    let sequential = Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
+    let fit = || Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
+    let sequential = byom::exec::install(1, fit);
     for threads in [2, 4, 0] {
-        let parallel =
-            Tree::fit_with_parallelism(&binned, &mapper, &grad, &hess, &rows, params, threads);
+        let parallel = byom::exec::install(threads, fit);
         assert_eq!(
             sequential, parallel,
             "tree diverged at parallelism={threads}"
@@ -100,17 +100,14 @@ fn subtraction_mode_is_bit_identical_across_thread_counts_and_runs() {
     let (data, mapper, grad, hess) = tree_fixture(2500, 8, 20);
     let binned = mapper.bin_dataset(&data);
     let rows: Vec<usize> = (0..data.len()).collect();
-    let params = byom_gbdt::TreeParams {
-        histogram_mode: HistogramMode::Subtraction,
-        ..Default::default()
-    };
-    let reference = Tree::fit_with_parallelism(&binned, &mapper, &grad, &hess, &rows, params, 1);
+    let params = byom_gbdt::TreeParams::default();
+    let fit = || Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
+    let reference = byom::exec::install(1, fit);
     for threads in [1, 2, 8] {
         // Repeated runs at each thread count: the steal schedule varies from
         // run to run, the fitted tree must not.
         for run in 0..3 {
-            let tree =
-                Tree::fit_with_parallelism(&binned, &mapper, &grad, &hess, &rows, params, threads);
+            let tree = byom::exec::install(threads, fit);
             assert_eq!(
                 reference, tree,
                 "subtraction fit diverged at parallelism={threads}, run {run}"
@@ -119,44 +116,57 @@ fn subtraction_mode_is_bit_identical_across_thread_counts_and_runs() {
     }
 }
 
-#[test]
-fn rebuild_mode_is_bit_identical_to_the_pre_engine_implementation() {
-    let (data, mapper, grad, hess) = tree_fixture(2000, 6, 21);
-    let binned = mapper.bin_dataset(&data);
-    let binned_row_major = legacy_tree::bin_dataset_row_major(&mapper, &data);
+/// Fit one tree with the histogram engine and one with the frozen
+/// pre-engine algorithm (`legacy_tree`, which rebuilds every node's
+/// histogram from its rows) and require the same splits — features,
+/// thresholds, topology — with leaf values within 1e-9. Subtraction
+/// legitimately changes the float accumulation order, so the values may
+/// drift by ULPs.
+fn assert_engine_matches_legacy(case: &str, data: &Dataset, grad: &[f64], hess: &[f64]) {
+    let mapper = byom_gbdt::BinMapper::fit(data, 64);
+    let binned = mapper.bin_dataset(data);
+    let row_major = legacy_tree::bin_dataset_row_major(&mapper, data);
     let rows: Vec<usize> = (0..data.len()).collect();
-    let params = byom_gbdt::TreeParams {
-        histogram_mode: HistogramMode::Rebuild,
-        ..Default::default()
-    };
+    let params = byom_gbdt::TreeParams::default();
+    let engine = Tree::fit(&binned, &mapper, grad, hess, &rows, params);
     let legacy = legacy_tree::fit_legacy(
-        &binned_row_major,
+        &row_major,
         data.num_features(),
         &mapper,
-        &grad,
-        &hess,
+        grad,
+        hess,
         &rows,
         params,
     );
-    for threads in [1, 4] {
-        let tree =
-            Tree::fit_with_parallelism(&binned, &mapper, &grad, &hess, &rows, params, threads);
+    assert_eq!(
+        engine.num_nodes(),
+        legacy.len(),
+        "{case}: node count diverged"
+    );
+    for (i, (a, b)) in engine.nodes().iter().zip(&legacy).enumerate() {
         assert_eq!(
-            tree.nodes(),
-            legacy.as_slice(),
-            "rebuild mode diverged from the frozen pre-engine fit at parallelism={threads}"
+            a.feature, b.feature,
+            "{case}: node {i} split feature diverged"
+        );
+        assert_eq!(
+            a.threshold, b.threshold,
+            "{case}: node {i} threshold diverged"
+        );
+        assert_eq!(a.left, b.left, "{case}: node {i} topology diverged");
+        assert_eq!(a.right, b.right, "{case}: node {i} topology diverged");
+        assert!(
+            (a.value - b.value).abs() < 1e-9,
+            "{case}: node {i} leaf value drifted: {} vs {}",
+            a.value,
+            b.value
         );
     }
 }
 
 #[test]
 fn subtraction_and_rebuild_agree_on_structure_with_close_leaf_values() {
-    // Seeded three-class dataset: subtraction's float accumulation order
-    // legitimately differs from rebuild's, so leaf values may drift by ULPs,
-    // but the chosen splits — features, bins, topology — must match.
+    // Seeded three-class dataset with softmax-style one-vs-rest statistics.
     let train = synthetic_dataset(1200, 6, 3, 22);
-    let mapper = byom_gbdt::BinMapper::fit(&train, 64);
-    let binned = mapper.bin_dataset(&train);
     let probs = 1.0 / 3.0f64;
     let grad: Vec<f64> = train
         .labels()
@@ -164,29 +174,19 @@ fn subtraction_and_rebuild_agree_on_structure_with_close_leaf_values() {
         .map(|&l| probs - if l == 0 { 1.0 } else { 0.0 })
         .collect();
     let hess = vec![probs * (1.0 - probs); train.len()];
-    let rows: Vec<usize> = (0..train.len()).collect();
-    let fit = |mode: HistogramMode| {
-        let params = byom_gbdt::TreeParams {
-            histogram_mode: mode,
-            ..Default::default()
-        };
-        Tree::fit(&binned, &mapper, &grad, &hess, &rows, params)
-    };
-    let sub = fit(HistogramMode::Subtraction);
-    let reb = fit(HistogramMode::Rebuild);
-    assert_eq!(sub.num_nodes(), reb.num_nodes());
-    for (i, (a, b)) in sub.nodes().iter().zip(reb.nodes()).enumerate() {
-        assert_eq!(a.feature, b.feature, "node {i} split feature diverged");
-        assert_eq!(a.threshold, b.threshold, "node {i} threshold diverged");
-        assert_eq!(a.left, b.left, "node {i} topology diverged");
-        assert_eq!(a.right, b.right, "node {i} topology diverged");
-        assert!(
-            (a.value - b.value).abs() < 1e-9,
-            "node {i} leaf value drifted: {} vs {}",
-            a.value,
-            b.value
-        );
-    }
+    assert_engine_matches_legacy("3-class softmax", &train, &grad, &hess);
+
+    // Small periodic regression target (squared loss: grad = -y, hess = 1)
+    // on two features with many tied values.
+    let xs: Vec<Vec<f64>> = (0..300)
+        .map(|i| vec![(i % 37) as f64, (i % 11) as f64])
+        .collect();
+    let ys: Vec<f64> = (0..300)
+        .map(|i| ((i % 37) as f64 * 0.3 - (i % 11) as f64).tanh())
+        .collect();
+    let data = Dataset::from_rows(xs, vec![0; ys.len()]).unwrap();
+    let grad: Vec<f64> = ys.iter().map(|y| -y).collect();
+    assert_engine_matches_legacy("300x2 regression", &data, &grad, &vec![1.0; ys.len()]);
 }
 
 fn quick_params() -> ExperimentParams {
