@@ -31,7 +31,7 @@ fn main() {
     // Each source cluster's model is independent; train them across cores.
     let trained = run_clusters_parallel(&sources, params.parallelism, |_, spec| {
         let train = TraceGenerator::new(1001 + u64::from(spec.id))
-            .generate_cached(spec, params.train_hours * 3600.0);
+            .generate(spec, params.train_hours * 3600.0);
         ByomPipeline::builder()
             .num_categories(params.num_categories)
             .gbdt_trees(params.gbdt_trees)

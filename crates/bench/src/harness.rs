@@ -30,10 +30,10 @@ pub struct ExperimentParams {
     pub gbdt_trees: usize,
     /// Thread budget for model training and the parallel sweep helpers
     /// ([`run_clusters_parallel`], [`run_quotas_parallel`],
-    /// `run_resilience_sweep`). All layers share one persistent executor
-    /// pool, so this is a single process-wide budget rather than a per-level
-    /// multiplier: nested fan-outs (clusters × per-class trees × split
-    /// search) cooperate inside it via work-stealing. `0` means "inherit the
+    /// `run_resilience_sweep`). It is one budget for the whole experiment
+    /// rather than a per-level multiplier: each thread of a fan-out
+    /// (clusters × per-class trees × split search) runs its share of it, so
+    /// no more than this many closures run at once. `0` means "inherit the
     /// ambient budget" (`BYOM_THREADS` or all cores at top level); `1`
     /// forces strictly sequential execution at every nesting level. Results
     /// are bit-identical regardless of this setting.
@@ -96,18 +96,10 @@ impl ExperimentContext {
         // (trace generation, labeling, model training): nested parallel
         // calls inherit it instead of falling back to "all cores".
         byom_exec::install(params.parallelism, || {
-            // `generate_cached` deduplicates trace generation process-wide,
-            // so figure binaries that prepare overlapping contexts (and
-            // parallel sweeps racing over the same specs) only pay for each
-            // distinct (seed, spec, duration) once.
-            let train = TraceGenerator::new(params.train_seed)
-                .generate_cached(&spec, params.train_hours * 3600.0)
-                .as_ref()
-                .clone();
-            let test = TraceGenerator::new(params.test_seed)
-                .generate_cached(&spec, params.test_hours * 3600.0)
-                .as_ref()
-                .clone();
+            let train =
+                TraceGenerator::new(params.train_seed).generate(&spec, params.train_hours * 3600.0);
+            let test =
+                TraceGenerator::new(params.test_seed).generate(&spec, params.test_hours * 3600.0);
             let cost_model = CostModel::new(CostRates::default());
             let trained = ByomPipeline::builder()
                 .num_categories(params.num_categories)
@@ -231,9 +223,9 @@ impl ExperimentContext {
     }
 }
 
-/// Evaluate `run` for every cluster spec on up to `parallelism` threads of
-/// the shared executor pool (`0` = inherit the ambient budget, `1` = the
-/// old sequential loop, at every nesting level).
+/// Evaluate `run` for every cluster spec on up to `parallelism` threads
+/// (`0` = inherit the ambient budget, `1` = the old sequential loop, at
+/// every nesting level).
 ///
 /// Results come back in spec order, and every experiment is deterministic
 /// given its spec, so the output is identical to mapping `run` over `specs`
@@ -252,10 +244,9 @@ where
 }
 
 /// Run the compared-methods sweep of one prepared context across several
-/// quotas on up to `parallelism` threads of the shared executor pool (`0` =
-/// inherit the ambient budget, `1` = the old sequential loop, at every
-/// nesting level). Returns one `Vec<MethodResult>` per quota,
-/// in quota order — identical to calling
+/// quotas on up to `parallelism` threads (`0` = inherit the ambient
+/// budget, `1` = the old sequential loop, at every nesting level). Returns
+/// one `Vec<MethodResult>` per quota, in quota order — identical to calling
 /// [`ExperimentContext::run_all_methods`] in a loop.
 pub fn run_quotas_parallel(
     ctx: &ExperimentContext,

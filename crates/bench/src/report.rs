@@ -28,12 +28,6 @@ impl Table {
         self
     }
 
-    /// Append a row from `&str` cells.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()
@@ -90,7 +84,7 @@ mod tests {
     #[test]
     fn renders_title_header_and_rows() {
         let mut t = Table::new("Demo", &["method", "savings"]);
-        t.row_str(&["FirstFit", "1.00"]);
+        t.row(&["FirstFit".to_string(), "1.00".to_string()]);
         t.row(&["Adaptive Ranking".to_string(), "3.47".to_string()]);
         let s = t.render();
         assert!(s.contains("== Demo =="));
@@ -102,7 +96,7 @@ mod tests {
     #[test]
     fn short_rows_are_padded() {
         let mut t = Table::new("x", &["a", "b", "c"]);
-        t.row_str(&["only-one"]);
+        t.row(&["only-one".to_string()]);
         assert_eq!(t.num_rows(), 1);
         assert!(t.render().contains("only-one"));
     }

@@ -93,8 +93,8 @@ impl ResilienceSweep {
 /// each with its savings delta versus the twin recorded in the resilience
 /// report. Deterministic for a given context and seed.
 ///
-/// Intensities fan out across the shared executor pool under the context's
-/// thread budget: every point is a pure function of `(ctx, seed,
+/// Intensities fan out in parallel under the context's thread budget:
+/// every point is a pure function of `(ctx, seed,
 /// intensity)` and results come back in intensity order, so the sweep is
 /// bit-identical to the old sequential loop.
 pub fn run_resilience_sweep(

@@ -19,11 +19,10 @@
 //! * [`apply_trace_faults`] — perturbs a [`byom_trace::Trace`] (drops,
 //!   duplicates, metadata corruption, blanked feature columns).
 //! * [`FaultyCategorizer`] — wraps any [`byom_core::Categorizer`] with
-//!   prediction blackouts and confidence-calibrated label flips. It
-//!   implements both [`byom_core::Categorizer`] (blackout ⇒ fall back to
-//!   category 0 — the "no fallback" ablation) and
-//!   [`byom_core::FallibleCategorizer`] (blackout ⇒ `None`, which the ladder
-//!   detects and degrades around).
+//!   prediction blackouts and confidence-calibrated label flips. During a
+//!   blackout its `categorize` falls back to category 0 (the "no fallback"
+//!   ablation) and its `try_categorize` returns `None`, which the ladder
+//!   detects and degrades around.
 //! * [`FaultyDevice`] — a [`byom_sim::DeviceModel`] injecting SSD capacity
 //!   step-downs/recoveries and transient admission failures with a
 //!   deterministic retry-after window.

@@ -3,21 +3,21 @@
 
 use crate::plan::ModelFaults;
 use crate::{mix, salt};
-use byom_core::{Categorizer, FallibleCategorizer};
+use byom_core::Categorizer;
 use byom_trace::ShuffleJob;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cell::Cell;
 
 /// Wraps a categorizer with model faults.
 ///
-/// The wrapper implements both category interfaces, with deliberately
-/// different blackout semantics:
+/// The wrapper's two [`Categorizer`] methods give a blackout deliberately
+/// different meanings:
 ///
-/// * [`FallibleCategorizer`] — blackout ⇒ `None`. This is what the
+/// * [`Categorizer::try_categorize`] — blackout ⇒ `None`. This is what the
 ///   degradation ladder consumes: it *sees* the outage and falls back.
-/// * [`Categorizer`] — blackout ⇒ category 0 (the "loses money on SSD"
-///   category). This is the **no-fallback ablation**: a plain adaptive
-///   policy keeps trusting the wedged prediction service and sends
+/// * [`Categorizer::categorize`] — blackout ⇒ category 0 (the "loses money
+///   on SSD" category). This is the **no-fallback ablation**: a plain
+///   adaptive policy keeps trusting the wedged prediction service and sends
 ///   everything to HDD for the duration.
 ///
 /// Label flips are calibrated by the wrapped model's confidence: a flip
@@ -119,16 +119,6 @@ impl<C: Categorizer> Categorizer for FaultyCategorizer<C> {
         }
     }
 
-    fn num_categories(&self) -> usize {
-        self.inner.num_categories()
-    }
-}
-
-impl<C: Categorizer> FallibleCategorizer for FaultyCategorizer<C> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
         if self.in_blackout(job.arrival) {
             self.blackouts.set(self.blackouts.get() + 1);
@@ -179,7 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn blackout_splits_the_two_interfaces() {
+    fn blackout_splits_the_two_methods() {
         let faulty = FaultyCategorizer::new(HashCategorizer::new(8), blackout(0.0, 1e12), 42);
         let t = trace();
         let job = t.iter().next().unwrap();

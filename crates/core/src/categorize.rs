@@ -12,7 +12,7 @@
 //!   the job's measured cost, used for Figure 11's "True category" line.
 
 use crate::labels::CategoryLabeler;
-use byom_cost::{CostModel, JobCost};
+use byom_cost::CostModel;
 use byom_trace::ShuffleJob;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -33,6 +33,14 @@ pub trait Categorizer {
     /// label-flip faults.
     fn categorize_with_confidence(&self, job: &ShuffleJob) -> (usize, f64) {
         (self.categorize(job), 1.0)
+    }
+
+    /// Predict the category, or `None` if no prediction is available at the
+    /// job's arrival time (in fault-injection runs, a blackout window). The
+    /// degradation ladder's model rung calls this and treats `None` as a
+    /// failure of that rung. By default a prediction is always available.
+    fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
+        Some(self.categorize(job))
     }
 
     /// Number of categories this categorizer produces.
@@ -94,11 +102,6 @@ impl TrueCategoryOracle {
             cost_model,
         }
     }
-
-    /// The true category of a job, computed from its measured cost.
-    pub fn true_category(&self, cost: &JobCost) -> usize {
-        self.labeler.label(cost)
-    }
 }
 
 impl Categorizer for TrueCategoryOracle {
@@ -158,7 +161,6 @@ mod tests {
         let oracle = TrueCategoryOracle::new(labeler.clone(), cost_model);
         for (job, cost) in trace.iter().zip(&costs) {
             assert_eq!(oracle.categorize(job), labeler.label(cost));
-            assert_eq!(oracle.true_category(cost), labeler.label(cost));
         }
         assert_eq!(oracle.num_categories(), 5);
     }

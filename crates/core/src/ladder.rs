@@ -42,42 +42,6 @@ pub const LADDER_RUNGS: usize = 4;
 /// Rung names, top (most capable) first.
 pub const RUNG_NAMES: [&str; LADDER_RUNGS] = ["model", "hash", "heuristic", "first-fit"];
 
-/// A categorizer whose predictions may be temporarily unavailable.
-///
-/// This is the interface the ladder's top rung consumes: `None` means "the
-/// prediction service cannot answer right now" (in fault-injection runs, a
-/// blackout window), which the ladder treats as a failure of the model rung.
-pub trait FallibleCategorizer {
-    /// Short name used to build the policy name (e.g. "Ranking").
-    fn name(&self) -> &str;
-
-    /// Predict the job's category, or `None` if no prediction is available
-    /// at the job's arrival time.
-    fn try_categorize(&self, job: &ShuffleJob) -> Option<usize>;
-
-    /// Number of categories this categorizer produces.
-    fn num_categories(&self) -> usize;
-}
-
-/// Adapter: use an ordinary (infallible) [`Categorizer`] as the ladder's
-/// model rung. Its predictions are always available.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Infallible<C>(pub C);
-
-impl<C: Categorizer> FallibleCategorizer for Infallible<C> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
-        Some(self.0.categorize(job))
-    }
-
-    fn num_categories(&self) -> usize {
-        self.0.num_categories()
-    }
-}
-
 /// Configuration of the degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LadderConfig {
@@ -116,8 +80,6 @@ pub struct HealthTracker {
     consecutive_successes: usize,
     /// Start of the current probe cooldown (simulated time), if demoted.
     cooldown_start: Option<f64>,
-    demotions: u64,
-    promotions: u64,
 }
 
 impl HealthTracker {
@@ -130,24 +92,12 @@ impl HealthTracker {
             consecutive_failures: 0,
             consecutive_successes: 0,
             cooldown_start: None,
-            demotions: 0,
-            promotions: 0,
         }
     }
 
     /// The currently active rung (0 = model .. 3 = first-fit).
     pub fn active_rung(&self) -> usize {
         self.active
-    }
-
-    /// Number of demotions so far.
-    pub fn demotions(&self) -> u64 {
-        self.demotions
-    }
-
-    /// Number of promotions (successful probes) so far.
-    pub fn promotions(&self) -> u64 {
-        self.promotions
     }
 
     /// Record a failure/miss attributed to the active rung at simulated
@@ -159,7 +109,6 @@ impl HealthTracker {
             self.active += 1;
             self.consecutive_failures = 0;
             self.cooldown_start = Some(now);
-            self.demotions += 1;
         }
     }
 
@@ -189,7 +138,6 @@ impl HealthTracker {
     pub fn promote(&mut self, now: f64) {
         if self.active > 0 {
             self.active -= 1;
-            self.promotions += 1;
             self.consecutive_failures = 0;
             self.consecutive_successes = 0;
             self.cooldown_start = if self.active == 0 { None } else { Some(now) };
@@ -207,7 +155,7 @@ impl HealthTracker {
 /// The graceful-degradation placement policy: model → hash → heuristic →
 /// first-fit, with health-driven demotion and recovery probing.
 #[derive(Debug, Clone)]
-pub struct LadderPolicy<M: FallibleCategorizer> {
+pub struct LadderPolicy<M: Categorizer> {
     name: String,
     model: M,
     model_selector: AdaptiveSelector,
@@ -224,8 +172,9 @@ pub struct LadderPolicy<M: FallibleCategorizer> {
     last_attributed: bool,
 }
 
-impl<M: FallibleCategorizer> LadderPolicy<M> {
-    /// Build a ladder from a (possibly fallible) model-rung categorizer.
+impl<M: Categorizer> LadderPolicy<M> {
+    /// Build a ladder from a (possibly fallible) model-rung categorizer; see
+    /// [`Categorizer::try_categorize`].
     /// The adaptive selectors' category count follows the categorizer's.
     ///
     /// # Panics
@@ -266,17 +215,6 @@ impl<M: FallibleCategorizer> LadderPolicy<M> {
     /// Placement decisions made by each rung, top rung first.
     pub fn rung_occupancy(&self) -> [u64; LADDER_RUNGS] {
         self.occupancy
-    }
-
-    /// Fraction of decisions made by the model rung (0 when no decisions).
-    pub fn model_rung_fraction(&self) -> f64 {
-        let total: u64 = self.occupancy.iter().sum();
-        let model = self.occupancy.first().copied().unwrap_or(0);
-        if total == 0 {
-            0.0
-        } else {
-            model as f64 / total as f64
-        }
     }
 
     /// Decide via the model rung if it answers; `None` means blackout.
@@ -323,7 +261,7 @@ impl<M: FallibleCategorizer> LadderPolicy<M> {
     }
 }
 
-impl<M: FallibleCategorizer> PlacementPolicy for LadderPolicy<M> {
+impl<M: Categorizer> PlacementPolicy for LadderPolicy<M> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -414,16 +352,19 @@ mod tests {
         categories: usize,
     }
 
-    impl FallibleCategorizer for WindowedModel {
+    impl Categorizer for WindowedModel {
         fn name(&self) -> &str {
             "Windowed"
+        }
+        fn categorize(&self, _job: &ShuffleJob) -> usize {
+            self.categories - 1 // always top category
         }
         fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
             let (start, end) = self.blackout;
             if job.arrival >= start && job.arrival < end {
                 None
             } else {
-                Some(self.categories - 1) // always top category
+                Some(self.categorize(job))
             }
         }
         fn num_categories(&self) -> usize {
@@ -496,8 +437,7 @@ mod tests {
             let _ = ladder.place(&job(i, t, 100), &cost(i, t), &state(t));
         }
         assert_eq!(ladder.health().active_rung(), 0);
-        assert_eq!(ladder.rung_occupancy()[0], 50);
-        assert!((ladder.model_rung_fraction() - 1.0).abs() < 1e-12);
+        assert_eq!(ladder.rung_occupancy(), [50, 0, 0, 0]);
     }
 
     #[test]
@@ -523,8 +463,6 @@ mod tests {
             0,
             "the ladder probes back to the model after the blackout"
         );
-        assert!(ladder.health().demotions() >= 1);
-        assert!(ladder.health().promotions() >= 1);
         assert!(ladder.rung_occupancy()[1] > 0, "hash rung covered the gap");
     }
 
@@ -590,20 +528,18 @@ mod tests {
     }
 
     #[test]
-    fn health_tracker_bounds_and_counters() {
+    fn health_tracker_saturates_and_climbs_back() {
         let mut h = HealthTracker::new(0, 10.0); // clamped to 1
         assert_eq!(h.active_rung(), 0);
         for i in 0..10 {
             h.record_failure(i as f64);
         }
         assert_eq!(h.active_rung(), LADDER_RUNGS - 1, "demotion saturates");
-        assert_eq!(h.demotions(), (LADDER_RUNGS - 1) as u64);
         // The last demotion (to the bottom rung) happened at now = 2.0.
         assert!(!h.probe_due(11.0), "cooldown not yet elapsed");
         assert!(h.probe_due(12.0));
         h.promote(20.0);
         assert_eq!(h.active_rung(), LADDER_RUNGS - 2);
-        assert_eq!(h.promotions(), 1);
         h.record_success();
         // Climb all the way back.
         h.promote(40.0);

@@ -56,16 +56,11 @@ pub mod ladder;
 pub mod model;
 pub mod pipeline;
 pub mod policy;
-pub mod registry;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveSelector, FeedbackSignal};
 pub use categorize::{Categorizer, HashCategorizer, TrueCategoryOracle};
 pub use labels::CategoryLabeler;
-pub use ladder::{
-    FallibleCategorizer, HealthTracker, Infallible, LadderConfig, LadderPolicy, LADDER_RUNGS,
-    RUNG_NAMES,
-};
+pub use ladder::{HealthTracker, LadderConfig, LadderPolicy, LADDER_RUNGS, RUNG_NAMES};
 pub use model::{CategoryModel, CategoryModelConfig, ModelEvaluation};
 pub use pipeline::{ByomPipeline, ByomPipelineBuilder, TrainedByom};
 pub use policy::AdaptivePolicy;
-pub use registry::{ModelGranularity, ModelRegistry};

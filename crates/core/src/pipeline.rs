@@ -7,9 +7,9 @@
 //! selection algorithm.
 
 use crate::adaptive::AdaptiveConfig;
-use crate::categorize::{HashCategorizer, TrueCategoryOracle};
+use crate::categorize::{Categorizer, HashCategorizer, TrueCategoryOracle};
 use crate::labels::CategoryLabeler;
-use crate::ladder::{FallibleCategorizer, Infallible, LadderConfig, LadderPolicy};
+use crate::ladder::{LadderConfig, LadderPolicy};
 use crate::model::{CategoryModel, CategoryModelConfig};
 use crate::policy::AdaptivePolicy;
 use byom_cost::CostModel;
@@ -74,9 +74,9 @@ impl ByomPipelineBuilder {
     }
 
     /// Thread budget used while training the category model: the per-class
-    /// trees of each boosting round are fitted concurrently on the shared
-    /// executor pool, and the per-feature split search inside each tree
-    /// shares the same budget via work-stealing. `0` (the default) inherits
+    /// trees of each boosting round are fitted concurrently, and the
+    /// per-feature histogram fill inside each tree runs on its thread's
+    /// share of the same budget. `0` (the default) inherits
     /// the ambient budget (`BYOM_THREADS` or all cores); `1` trains strictly
     /// sequentially at every nesting level. The trained model is
     /// bit-identical regardless of this setting.
@@ -187,9 +187,9 @@ impl TrainedByom {
     /// The graceful-degradation ladder with the trained model as its top
     /// rung: model → hash → heuristic → first-fit, with default demotion and
     /// probing settings (see [`LadderConfig`]).
-    pub fn ladder_policy(&self) -> LadderPolicy<Infallible<CategoryModel>> {
+    pub fn ladder_policy(&self) -> LadderPolicy<CategoryModel> {
         self.ladder_policy_with(
-            Infallible(self.model.clone()),
+            self.model.clone(),
             LadderConfig {
                 adaptive: self.adaptive,
                 ..LadderConfig::default()
@@ -200,7 +200,7 @@ impl TrainedByom {
     /// The graceful-degradation ladder with a caller-supplied (possibly
     /// fallible) model rung — fault-injection layers wrap the trained model
     /// and hand the wrapper in here.
-    pub fn ladder_policy_with<M: FallibleCategorizer>(
+    pub fn ladder_policy_with<M: Categorizer>(
         &self,
         model: M,
         config: LadderConfig,

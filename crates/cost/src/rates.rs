@@ -111,25 +111,6 @@ impl CostRates {
         }
         Ok(())
     }
-
-    /// A rates preset with expensive SSDs (higher byte and wear-out cost),
-    /// used in sensitivity experiments.
-    pub fn expensive_ssd() -> Self {
-        CostRates {
-            ssd_byte_cost_per_sec: 1.0e-15,
-            ssd_wearout_cost_per_byte: 2.0e-13,
-            ..CostRates::default()
-        }
-    }
-
-    /// A rates preset with cheap SSDs, used in sensitivity experiments.
-    pub fn cheap_ssd() -> Self {
-        CostRates {
-            ssd_byte_cost_per_sec: 3.0e-16,
-            ssd_wearout_cost_per_byte: 0.5e-13,
-            ..CostRates::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -139,8 +120,6 @@ mod tests {
     #[test]
     fn default_rates_validate() {
         assert!(CostRates::default().validate().is_ok());
-        assert!(CostRates::expensive_ssd().validate().is_ok());
-        assert!(CostRates::cheap_ssd().validate().is_ok());
     }
 
     #[test]
@@ -179,12 +158,5 @@ mod tests {
             ..CostRates::default()
         };
         assert!(r2.validate().is_err());
-    }
-
-    #[test]
-    fn presets_differ_in_the_expected_direction() {
-        let d = CostRates::default();
-        assert!(CostRates::expensive_ssd().ssd_byte_cost_per_sec > d.ssd_byte_cost_per_sec);
-        assert!(CostRates::cheap_ssd().ssd_byte_cost_per_sec < d.ssd_byte_cost_per_sec);
     }
 }

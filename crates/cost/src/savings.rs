@@ -39,11 +39,6 @@ impl Placement {
             ssd_fraction: fraction,
         }
     }
-
-    /// Whether any part of the job resides on SSD.
-    pub fn uses_ssd(&self) -> bool {
-        self.ssd_fraction > 0.0
-    }
 }
 
 /// Aggregate savings of one placement run, relative to the all-on-HDD
@@ -190,8 +185,8 @@ mod tests {
 
     #[test]
     fn placement_constructors() {
-        assert!(!Placement::hdd().uses_ssd());
-        assert!(Placement::ssd().uses_ssd());
-        assert!(Placement::partial(0.5).uses_ssd());
+        assert_eq!(Placement::hdd().ssd_fraction, 0.0);
+        assert_eq!(Placement::ssd().ssd_fraction, 1.0);
+        assert_eq!(Placement::partial(0.5).ssd_fraction, 0.5);
     }
 }

@@ -1,52 +1,47 @@
-//! Unified parallel executor for the BYOM workspace.
+//! Deterministic parallel map for the BYOM workspace.
 //!
 //! Every parallel call site in the workspace — GBDT training, the
 //! experiment harness fan-outs, the resilience sweeps, the fig binaries —
-//! runs on **one** process-wide, lazily spawned work-stealing pool
-//! ([`pool`]). Nested fan-outs (cluster sweep × per-class trees ×
-//! feature-parallel split search) cooperate through the shared queues
-//! instead of spawning `threads × threads` scoped threads.
+//! goes through one index-parallel map ([`ParallelSlice::par_iter`],
+//! [`IntoParallelIterator::into_par_iter`]). A call runs on the calling
+//! thread plus scoped threads (`std::thread::scope`) that live only as long
+//! as the call; there is no persistent pool.
 //!
 //! # Thread budget
 //!
 //! A single knob controls parallel width everywhere:
 //!
-//! * [`install`]`(n, f)` pins the budget to `n` for everything `f` does,
-//!   including on pool workers executing `f`'s parallel chunks. Budgets
-//!   only shrink when nested: `install(4, ..)` inside `install(2, ..)`
-//!   still runs on 2.
+//! * [`install`]`(n, f)` pins the budget to `n` for everything `f` does.
+//!   Budgets only shrink when nested: `install(4, ..)` inside
+//!   `install(2, ..)` still runs on 2.
 //! * `.with_max_threads(n)` bounds one parallel call; it combines with the
-//!   ambient budget the same way (`min`), and the resolved budget is
-//!   inherited by everything the mapped closure runs.
-//! * `BYOM_THREADS` (environment) overrides the default budget **and** the
-//!   pool size for the whole process.
+//!   ambient budget the same way (`min`).
+//! * `BYOM_THREADS` (environment) overrides the default budget for the
+//!   whole process.
+//! * A parallel call over `len` items with budget `b` runs on
+//!   `min(b, len)` threads, and each of them runs its closures under an
+//!   equal share of `b` (the remainder goes to the first threads). Nested
+//!   calls therefore divide the budget instead of multiplying it: at most
+//!   `b` closures run at once anywhere beneath the call.
 //! * Budget `1` means *strictly sequential at every nesting level*: the
 //!   call runs inline on the caller and every nested parallel call —
 //!   whatever it requests — resolves to 1 as well.
 //!
 //! # Determinism
 //!
-//! Work is split into fixed index ranges and results are slotted by chunk
-//! index, so for any pure closure the output is **byte-identical** to
-//! sequential execution — for any budget, worker count, or steal schedule.
-//! Panics inside a closure cancel the remaining chunks and propagate to
-//! the caller after the job has fully quiesced.
-//!
-//! # Safety
-//!
-//! This is the one workspace crate that is not `#![forbid(unsafe_code)]`:
-//! scheduling borrowed (non-`'static`) jobs on a persistent pool requires
-//! erasing the job's lifetime at the pool boundary. The two `unsafe`
-//! blocks live in [`job`] and are guarded by a close protocol documented
-//! there; everything above the job layer is safe code.
+//! Threads claim item indices from a shared counter, and results are put
+//! back in index order, so for any pure closure the output is
+//! **byte-identical** to sequential execution for any budget and any
+//! schedule. A panic inside a closure stops further claims; the panic is
+//! re-raised on the caller once every thread of the call has finished.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
-mod job;
-mod pool;
-
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The traits to import to get `par_iter` / `into_par_iter`.
@@ -54,26 +49,18 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelSlice};
 }
 
-/// Parse the `BYOM_THREADS` override (ignored unless a positive integer).
-pub(crate) fn env_thread_override() -> Option<usize> {
-    std::env::var("BYOM_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-}
-
-/// Hardware concurrency as reported by the OS.
-pub(crate) fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
 /// The default thread budget when nothing narrower is in scope:
-/// `BYOM_THREADS` if set, otherwise all available cores.
+/// `BYOM_THREADS` if it is a positive integer, otherwise all available
+/// cores.
 fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| env_thread_override().unwrap_or_else(hardware_threads))
+    *DEFAULT.get_or_init(|| {
+        std::env::var("BYOM_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    })
 }
 
 thread_local! {
@@ -85,7 +72,7 @@ thread_local! {
 /// Run `f` with `budget` pinned as this thread's scope budget, restoring
 /// the previous budget afterwards (also on panic). `0` leaves the scope
 /// untouched.
-pub(crate) fn with_scope_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
+fn with_scope_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
     if budget == 0 {
         return f();
     }
@@ -120,11 +107,11 @@ pub fn current_num_threads() -> usize {
     resolve_threads(0)
 }
 
-/// Run `f` with the thread budget pinned to `n` for everything it does —
-/// direct parallel calls, nested ones, and work executed on pool workers
-/// on its behalf. `n = 0` leaves the ambient budget unchanged; a non-zero
-/// `n` is capped by any enclosing budget; `n = 1` forces strictly
-/// sequential execution at every nesting level.
+/// Run `f` with the thread budget pinned to `n` for everything it does,
+/// including nested parallel calls and the threads they start. `n = 0`
+/// leaves the ambient budget unchanged; a non-zero `n` is capped by any
+/// enclosing budget; `n = 1` forces strictly sequential execution at every
+/// nesting level.
 pub fn install<R>(n: usize, f: impl FnOnce() -> R) -> R {
     if n == 0 {
         return f();
@@ -132,49 +119,77 @@ pub fn install<R>(n: usize, f: impl FnOnce() -> R) -> R {
     with_scope_budget(resolve_threads(n), f)
 }
 
-/// Run `a` and `b`, potentially in parallel on the pool, and return both
-/// results. `b` is offered to the pool while the caller runs `a`; if no
-/// worker is free the caller runs `b` itself, so `join` never blocks on
-/// pool availability. Under a budget of 1 both closures run sequentially
-/// on the caller. Panics from either closure propagate after both sides
-/// have finished.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let budget = resolve_threads(0);
-    if budget <= 1 || pool_capacity() <= 1 {
-        return with_scope_budget(budget.max(1), || {
-            let ra = a();
-            let rb = b();
-            (ra, rb)
-        });
-    }
-    job::run_join(budget, a, b)
-}
-
-/// Total execution slots in the process (pool workers + one caller). The
-/// hard ceiling on any single parallel call's width.
-pub fn pool_capacity() -> usize {
-    pool::capacity()
-}
+/// What one thread of a parallel call hands back: the `(index, result)`
+/// pairs it computed, or the payload of the first closure that panicked.
+type Claimed<U> = Result<Vec<(usize, U)>, Box<dyn Any + Send>>;
 
 /// Execute `f(0..len)` under the resolved budget for `requested`,
 /// returning results in index order.
+///
+/// The caller and up to `width - 1` scoped threads claim indices from one
+/// counter. Participant `p` runs its closures under budget
+/// `budget / width`, plus one if `p < budget % width`, so the shares add
+/// up to `budget`.
 fn run_map<U, F>(requested: usize, len: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
     let budget = resolve_threads(requested);
-    let width = budget.min(len).min(pool_capacity());
-    if width <= 1 || len < 2 {
+    let width = budget.min(len);
+    if width <= 1 {
         return with_scope_budget(budget.max(1), || (0..len).map(f).collect());
     }
-    job::run_chunked(budget, width, len, f)
+    // Both atomics only hand out indices and signal a stop; results reach
+    // the caller through the scope's join, which orders every write before
+    // the caller reads it, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let claim = |participant: usize| -> Claimed<U> {
+        let share = budget / width + usize::from(participant < budget % width);
+        with_scope_budget(share, || {
+            let mut done = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= len {
+                    break;
+                }
+                match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                    Ok(value) => done.push((i, value)),
+                    Err(payload) => {
+                        stop.store(true, Ordering::Relaxed);
+                        return Err(payload);
+                    }
+                }
+            }
+            Ok(done)
+        })
+    };
+    let claim = &claim;
+    let claimed: Vec<Claimed<U>> = std::thread::scope(|s| {
+        // A thread that fails to spawn claims nothing; the participants
+        // that did start drain the counter without it.
+        let helpers: Vec<_> = (1..width)
+            .filter_map(|p| {
+                std::thread::Builder::new()
+                    .spawn_scoped(s, move || claim(p))
+                    .ok()
+            })
+            .collect();
+        let mut claimed = vec![claim(0)];
+        claimed.extend(helpers.into_iter().map(|h| h.join().unwrap_or_else(Err)));
+        claimed
+    });
+    let mut slots = Vec::with_capacity(len);
+    for outcome in claimed {
+        match outcome {
+            Ok(done) => slots.extend(done),
+            Err(payload) => resume_unwind(payload),
+        }
+    }
+    slots.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert_eq!(slots.len(), len);
+    slots.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Borrowing parallel iterator over a slice (`par_iter`).
@@ -220,16 +235,6 @@ impl<'a, T: Sync> ParIter<'a, T> {
             requested: self.requested,
             f,
         }
-    }
-
-    /// Apply `f` to every element in parallel.
-    pub fn for_each<F: Fn(&'a T) + Sync>(self, f: F) {
-        let items = self.items;
-        run_map(self.requested, items.len(), |i| {
-            if let Some(item) = items.get(i) {
-                f(item);
-            }
-        });
     }
 }
 
@@ -305,12 +310,6 @@ impl ParRange {
             f,
         }
     }
-
-    /// Apply `f` to every index in parallel.
-    pub fn for_each<F: Fn(usize) + Sync>(self, f: F) {
-        let start = self.start;
-        run_map(self.requested, self.end - start, |i| f(start + i));
-    }
 }
 
 /// The result of [`ParRange::map`], ready to collect.
@@ -374,16 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_every_element_once() {
-        let count = AtomicUsize::new(0);
-        let items: Vec<u8> = vec![1; 500];
-        items.par_iter().with_max_threads(4).for_each(|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 500);
-    }
-
-    #[test]
     fn empty_inputs_are_fine() {
         let empty: Vec<u32> = Vec::new();
         let out: Vec<u32> = empty.par_iter().map(|&x| x).collect();
@@ -404,8 +393,8 @@ mod tests {
 
     #[test]
     fn pool_workers_participate() {
-        // MIN_POOL_SLOTS guarantees workers exist even on a 1-core machine;
-        // the sleeps give parked workers ample time to claim chunks.
+        // An explicit width of 4 spawns three threads even on a 1-core
+        // machine; the sleeps give them ample time to claim indices.
         let ids: Vec<std::thread::ThreadId> = (0..64)
             .into_par_iter()
             .with_max_threads(4)
@@ -419,7 +408,7 @@ mod tests {
         distinct.dedup();
         assert!(
             distinct.len() > 1,
-            "expected pool workers to claim chunks alongside the caller"
+            "expected spawned threads to claim indices alongside the caller"
         );
     }
 
@@ -455,6 +444,32 @@ mod tests {
         assert_eq!(install(2, || install(6, || resolve_threads(0))), 2);
         assert_eq!(install(2, || install(6, || resolve_threads(4))), 2);
         assert!(resolve_threads(0) >= 1);
+    }
+
+    #[test]
+    fn nested_maps_never_run_more_closures_than_the_budget() {
+        for n in 1..=3 {
+            let running = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            install(n, || {
+                (0..8)
+                    .into_par_iter()
+                    .map(|_| {
+                        (0..8)
+                            .into_par_iter()
+                            .map(|_| {
+                                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                                peak.fetch_max(now, Ordering::SeqCst);
+                                std::thread::sleep(Duration::from_millis(2));
+                                running.fetch_sub(1, Ordering::SeqCst);
+                            })
+                            .collect::<Vec<()>>()
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= n, "install({n}, ..) ran {peak} leaves at once");
+        }
     }
 
     #[test]
@@ -496,61 +511,13 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(message.contains("boom at 77"), "payload was: {message:?}");
-        // The pool must stay fully usable after a propagated panic.
+        // The executor must stay fully usable after a propagated panic.
         let out: Vec<usize> = (0..100)
             .into_par_iter()
             .with_max_threads(4)
             .map(|i| i + 1)
             .collect();
         assert_eq!(out, (1..101).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = install(4, || join(|| 2 + 2, || "b".to_string()));
-        assert_eq!(a, 4);
-        assert_eq!(b, "b");
-    }
-
-    #[test]
-    fn join_is_sequential_under_budget_one() {
-        let caller = std::thread::current().id();
-        let (a, b) = install(1, || {
-            join(
-                || std::thread::current().id(),
-                || std::thread::current().id(),
-            )
-        });
-        assert_eq!(a, caller);
-        assert_eq!(b, caller);
-    }
-
-    #[test]
-    fn join_propagates_panics_from_either_side() {
-        let err = std::panic::catch_unwind(|| install(4, || join(|| panic!("left"), || 1)))
-            .expect_err("left panic must propagate");
-        assert!(err
-            .downcast_ref::<&str>()
-            .is_some_and(|s| s.contains("left")));
-        let err = std::panic::catch_unwind(|| install(4, || join(|| 1, || panic!("right"))))
-            .expect_err("right panic must propagate");
-        assert!(err
-            .downcast_ref::<&str>()
-            .is_some_and(|s| s.contains("right")));
-    }
-
-    #[test]
-    fn joins_nest_inside_parallel_maps() {
-        let out: Vec<usize> = install(4, || {
-            (0..16)
-                .into_par_iter()
-                .map(|i| {
-                    let (a, b) = join(|| i * 2, || i * 3);
-                    a + b
-                })
-                .collect()
-        });
-        assert_eq!(out, (0..16).map(|i| i * 5).collect::<Vec<_>>());
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Dataset {
         self.values[i * self.num_features + j]
     }
 
-    /// Largest label value plus one (a lower bound on the number of classes).
-    pub fn max_label_plus_one(&self) -> usize {
-        self.labels.iter().copied().max().map_or(0, |m| m + 1)
-    }
-
     /// Validate that every label is below `num_classes`.
     ///
     /// # Errors
@@ -182,7 +177,6 @@ mod tests {
         assert_eq!(d.row(1), &[3.0, 4.0]);
         assert_eq!(d.value(2, 1), 6.0);
         assert_eq!(d.labels(), &[0, 1, 0, 1]);
-        assert_eq!(d.max_label_plus_one(), 2);
         assert_eq!(d.iter().count(), 4);
     }
 

@@ -206,12 +206,12 @@ impl GradientBoostedTrees {
             // The per-class trees of one round are independent (their
             // gradients all derive from the probabilities computed at the
             // start of the round, and their score updates touch disjoint
-            // class columns), so classes fan out on the shared pool under
-            // `params.parallelism`; the per-feature split search inside each
-            // tree inherits the same budget and cooperates through
-            // work-stealing instead of claiming its own thread quota. The
-            // schedule is bit-identical to sequential because each class's
-            // work is a pure function of the round-start probabilities.
+            // class columns), so classes fan out under `params.parallelism`;
+            // the per-feature histogram fill inside each tree runs on its
+            // thread's share of that budget rather than claiming a quota of
+            // its own. The result is bit-identical to sequential because each
+            // class's work is a pure function of the round-start
+            // probabilities.
             let fitted: Vec<(Tree, Vec<f64>, Vec<f64>)> = (0..k)
                 .into_par_iter()
                 .with_max_threads(params.parallelism)
@@ -333,14 +333,6 @@ impl GradientBoostedTrees {
         softmax(&raw)
     }
 
-    /// Class probability distribution for one feature row, checked.
-    ///
-    /// # Errors
-    /// Returns [`GbdtError::FeatureCountMismatch`] on a short row.
-    pub fn try_predict_proba(&self, row: &[f64]) -> Result<Vec<f64>, GbdtError> {
-        Ok(softmax(&self.try_predict_raw(row)?))
-    }
-
     /// Most likely class for one feature row.
     pub fn predict(&self, row: &[f64]) -> usize {
         let p = self.predict_raw(row);
@@ -353,11 +345,6 @@ impl GradientBoostedTrees {
     /// Returns [`GbdtError::FeatureCountMismatch`] on a short row.
     pub fn try_predict(&self, row: &[f64]) -> Result<usize, GbdtError> {
         Ok(argmax(&self.try_predict_raw(row)?))
-    }
-
-    /// Predicted classes for a whole dataset.
-    pub fn predict_dataset(&self, data: &Dataset) -> Vec<usize> {
-        (0..data.len()).map(|i| self.predict(data.row(i))).collect()
     }
 
     /// Predicted probability rows for a whole dataset.
@@ -457,7 +444,10 @@ mod tests {
             ..Default::default()
         };
         let model = GradientBoostedTrees::train(&params, &train, None).unwrap();
-        let acc = accuracy(&model.predict_dataset(&test), test.labels());
+        let preds: Vec<usize> = (0..test.len())
+            .map(|i| model.predict(test.row(i)))
+            .collect();
+        let acc = accuracy(&preds, test.labels());
         assert!(acc > 0.9, "accuracy {acc}");
     }
 
@@ -555,7 +545,9 @@ mod tests {
             ..Default::default()
         };
         let model = GradientBoostedTrees::train(&params, &data, None).unwrap();
-        let preds = model.predict_dataset(&data);
+        let preds: Vec<usize> = (0..data.len())
+            .map(|i| model.predict(data.row(i)))
+            .collect();
         let zeros = preds.iter().filter(|&&p| p == 0).count();
         assert!(zeros as f64 / preds.len() as f64 > 0.9);
     }
@@ -600,7 +592,6 @@ mod tests {
                 found: 1
             })
         ));
-        assert!(model.try_predict_proba(&[1.0]).is_err());
         // Checked and panicking paths agree on valid rows.
         let row = train.row(0);
         assert_eq!(model.try_predict(row).unwrap(), model.predict(row));

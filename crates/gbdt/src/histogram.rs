@@ -218,8 +218,8 @@ pub const PARALLEL_FILL_MIN_ROWS: usize = 512;
 /// Fill the flat histogram `hist` (shaped by `layout`) with the gradient
 /// statistics of `rows`, one contiguous [`BinnedMatrix`] column per feature.
 ///
-/// With `parallelism > 1` and enough rows, feature columns fan out on the
-/// shared `byom_exec` pool; each column is still filled in row order by
+/// With `parallelism > 1` and enough rows, feature columns fan out through
+/// `byom_exec`; each column is still filled in row order by
 /// exactly one task and the per-feature results are written back in feature
 /// order, so the result is **bit-identical** to the sequential fill.
 pub fn fill_histogram(

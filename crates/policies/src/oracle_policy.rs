@@ -48,11 +48,6 @@ impl OraclePolicy {
             .collect();
         OraclePolicy::new(name, decisions)
     }
-
-    /// Number of jobs with an explicit decision.
-    pub fn num_decisions(&self) -> usize {
-        self.decisions.len()
-    }
 }
 
 impl PlacementPolicy for OraclePolicy {
@@ -109,7 +104,7 @@ mod tests {
         let ids = vec![JobId(0), JobId(1), JobId(2)];
         let on_ssd = vec![true, false, true];
         let mut p = OraclePolicy::from_selection("Oracle TCO", &ids, &on_ssd);
-        assert_eq!(p.num_decisions(), 3);
+        assert_eq!(p.decisions.len(), 3);
         assert_eq!(p.place(&job(0), &cost(), &state()), Device::Ssd);
         assert_eq!(p.place(&job(1), &cost(), &state()), Device::Hdd);
         assert_eq!(p.place(&job(2), &cost(), &state()), Device::Ssd);

@@ -37,14 +37,6 @@ impl SystemState {
         self.ssd_capacity_bytes
             .saturating_sub(self.ssd_occupancy_bytes)
     }
-
-    /// Fraction of SSD capacity in use, in `[0, 1]` (0 if capacity is zero).
-    pub fn ssd_utilization(&self) -> f64 {
-        if self.ssd_capacity_bytes == 0 {
-            return 0.0;
-        }
-        (self.ssd_occupancy_bytes as f64 / self.ssd_capacity_bytes as f64).min(1.0)
-    }
 }
 
 /// The realized outcome of one job's placement, reported back to policies
@@ -138,18 +130,11 @@ mod tests {
             ssd_capacity_bytes: 100,
         };
         assert_eq!(s.ssd_free_bytes(), 70);
-        assert!((s.ssd_utilization() - 0.3).abs() < 1e-12);
         let full = SystemState {
             ssd_occupancy_bytes: 200,
             ..s
         };
         assert_eq!(full.ssd_free_bytes(), 0);
-        assert_eq!(full.ssd_utilization(), 1.0);
-        let zero_cap = SystemState {
-            ssd_capacity_bytes: 0,
-            ..s
-        };
-        assert_eq!(zero_cap.ssd_utilization(), 0.0);
     }
 
     fn outcome(scheduled: Device, fraction: f64, spill: Option<f64>) -> JobOutcome {

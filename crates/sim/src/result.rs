@@ -100,26 +100,6 @@ impl SimulationResult {
     pub fn jobs_spilled(&self) -> usize {
         self.outcomes.iter().filter(|o| o.spilled()).count()
     }
-
-    /// The paper's spillover-TCIO percentage evaluated over all outcomes at
-    /// the end of the run: spilled TCIO of SSD-scheduled jobs divided by the
-    /// total TCIO of SSD-scheduled jobs. Returns 0 if nothing was scheduled
-    /// to SSD.
-    pub fn spillover_tcio_percent(&self) -> f64 {
-        let mut spilled = 0.0;
-        let mut scheduled = 0.0;
-        for o in &self.outcomes {
-            if o.scheduled == Device::Ssd {
-                scheduled += o.tcio_hdd;
-                spilled += o.spillover_tcio(o.end);
-            }
-        }
-        if scheduled <= 0.0 {
-            0.0
-        } else {
-            spilled / scheduled * 100.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,12 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn spillover_percent_zero_when_nothing_scheduled() {
-        let r = result(vec![outcome(0, Device::Hdd, 0.0)]);
-        assert_eq!(r.spillover_tcio_percent(), 0.0);
-    }
-
-    #[test]
     fn resilience_report_sums_fault_counts() {
         let report = ResilienceReport {
             jobs_dropped: 1,
@@ -204,15 +178,5 @@ mod tests {
         };
         assert_eq!(report.faults_injected(), 36);
         assert_eq!(ResilienceReport::default().faults_injected(), 0);
-    }
-
-    #[test]
-    fn spillover_percent_reflects_unrealized_tcio() {
-        // Two SSD-scheduled jobs, one fully fit, one fully spilled.
-        let r = result(vec![
-            outcome(0, Device::Ssd, 1.0),
-            outcome(1, Device::Ssd, 0.0),
-        ]);
-        assert!((r.spillover_tcio_percent() - 50.0).abs() < 1e-9);
     }
 }

@@ -59,16 +59,6 @@ impl FeatureEncoder {
         NUMERIC_FEATURE_COUNT + self.metadata_hash_buckets
     }
 
-    /// Human-readable names of the output features, aligned with
-    /// [`FeatureEncoder::encode`].
-    pub fn feature_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
-        for b in 0..self.metadata_hash_buckets {
-            names.push(format!("metadata_hash_{b}"));
-        }
-        names
-    }
-
     /// The feature group of each output feature (hash buckets belong to
     /// group B, execution metadata).
     pub fn feature_groups(&self) -> Vec<FeatureGroup> {
@@ -135,7 +125,6 @@ mod tests {
         let enc = FeatureEncoder::default();
         let v = enc.encode(&features());
         assert_eq!(v.len(), enc.num_features());
-        assert_eq!(enc.feature_names().len(), enc.num_features());
         assert_eq!(enc.feature_groups().len(), enc.num_features());
     }
 

@@ -209,14 +209,6 @@ impl TraceGenerator {
         Trace::new(jobs)
     }
 
-    /// Generate traces for a whole fleet of clusters (convenience wrapper).
-    pub fn generate_fleet(&self, specs: &[ClusterSpec], duration_secs: f64) -> Vec<Trace> {
-        specs
-            .iter()
-            .map(|s| self.generate(s, duration_secs))
-            .collect()
-    }
-
     fn make_pipeline<R: Rng + ?Sized>(
         rng: &mut R,
         pspec: &PipelineSpec,
@@ -418,9 +410,8 @@ mod tests {
     #[test]
     fn fleet_generation_covers_all_clusters() {
         let specs = ClusterSpec::evaluation_fleet();
-        let traces = TraceGenerator::new(1).generate_fleet(&specs[..3], 3_600.0);
-        assert_eq!(traces.len(), 3);
-        for (t, s) in traces.iter().zip(&specs[..3]) {
+        for s in &specs[..3] {
+            let t = TraceGenerator::new(1).generate(s, 3_600.0);
             assert!(t.jobs().iter().all(|j| j.cluster == s.id));
         }
     }

@@ -60,11 +60,6 @@ impl IoProfile {
     pub fn total_bytes(&self) -> u64 {
         self.written_bytes.saturating_add(self.read_bytes)
     }
-
-    /// Total raw operations (reads + writes), before cache/coalescing effects.
-    pub fn total_ops(&self) -> u64 {
-        self.write_ops.saturating_add(self.read_ops)
-    }
 }
 
 /// A single shuffle job: the unit of data placement.
@@ -107,11 +102,6 @@ impl ShuffleJob {
         }
         self.io.total_bytes() as f64 / self.size_bytes as f64
     }
-
-    /// Whether the job's files are live at time `t`.
-    pub fn is_live_at(&self, t: f64) -> bool {
-        t >= self.arrival && t <= self.end()
-    }
 }
 
 #[cfg(test)]
@@ -152,13 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn end_and_liveness() {
+    fn end_is_arrival_plus_lifetime() {
         let j = job(1, 1, 1);
         assert_eq!(j.end(), 110.0);
-        assert!(j.is_live_at(10.0));
-        assert!(j.is_live_at(110.0));
-        assert!(!j.is_live_at(9.99));
-        assert!(!j.is_live_at(110.01));
     }
 
     #[test]
@@ -179,7 +165,6 @@ mod tests {
             mean_read_size: 1,
         };
         assert_eq!(p.total_bytes(), u64::MAX);
-        assert_eq!(p.total_ops(), u64::MAX);
     }
 
     #[test]

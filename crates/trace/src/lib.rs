@@ -29,7 +29,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod archetype;
-pub mod cache;
 pub mod cluster;
 pub mod distributions;
 pub mod encoding;
@@ -40,7 +39,6 @@ pub mod metadata;
 pub mod trace;
 
 pub use archetype::{Archetype, ArchetypeParams};
-pub use cache::{cached_trace_count, clear_trace_cache};
 pub use cluster::{ClusterId, ClusterSpec, PipelineSpec};
 pub use encoding::FeatureEncoder;
 pub use features::{FeatureGroup, JobFeatures, FEATURE_NAMES, NUMERIC_FEATURE_COUNT};

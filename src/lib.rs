@@ -19,7 +19,7 @@
 //! | [`policies`] | FirstFit, CacheSack-style heuristic, ML lifetime baseline |
 //! | [`core`] | category labels, category models, Algorithm 1, BYOM pipeline |
 //! | [`chaos`] | seeded fault injection and the graceful-degradation harness |
-//! | [`exec`] | persistent work-stealing pool and deterministic parallel executor |
+//! | [`exec`] | deterministic parallel map under one process-wide thread budget |
 //!
 //! ## Quickstart
 //!
@@ -49,49 +49,43 @@
 //!
 //! ## Running experiments in parallel
 //!
-//! All parallelism runs on **one persistent work-stealing pool**
-//! ([`exec`]): the first parallel call spawns it, and every layer —
-//! per-class tree fitting, feature-parallel split search, cluster/quota
-//! sweeps, the resilience sweep — schedules onto the same workers instead
-//! of spawning scoped threads per call. Nested fan-outs therefore share a
+//! All parallelism goes through one parallel map ([`exec`]): every layer —
+//! per-class tree fitting, feature-parallel histogram fills, cluster/quota
+//! sweeps, the resilience sweep — runs on the calling thread plus scoped
+//! threads that end with the call. Each of those threads runs its closures
+//! under an equal share of the call's budget, so nested fan-outs share a
 //! **single thread budget** rather than multiplying:
 //!
 //! * `0` = inherit the ambient budget (`BYOM_THREADS` if set, otherwise all
 //!   available cores),
-//! * `n` = cap the subtree at `n` threads (budgets only shrink with
-//!   nesting),
+//! * `n` = cap the subtree at `n` threads: no more than `n` closures run at
+//!   once beneath it (budgets only shrink with nesting),
 //! * `1` = strictly sequential at every nesting level.
 //!
-//! Every parallel entry point is **deterministic**: work is split into
-//! fixed index ranges and results are slotted by index, so any budget,
-//! worker count, or steal schedule produces bit-identical models and
-//! results.
+//! Every parallel entry point is **deterministic**: threads claim item
+//! indices and results are put back in index order, so any budget or
+//! schedule produces bit-identical models and results.
 //!
 //! * [`ByomPipeline`](byom_core::ByomPipeline) takes a
 //!   `.parallelism(n)` builder knob; the per-class trees of each boosting
 //!   round are fitted concurrently and large tree nodes fill their
 //!   per-feature histograms column-parallel
 //!   ([`GbdtParams::parallelism`](byom_gbdt::GbdtParams)).
-//! * `byom_bench::run_clusters_parallel` fans a per-cluster experiment out
-//!   across the pool, `byom_bench::run_quotas_parallel` sweeps the quota
+//! * `byom_bench::run_clusters_parallel` fans a per-cluster experiment
+//!   out, `byom_bench::run_quotas_parallel` sweeps the quota
 //!   operating points of one prepared context, and
 //!   `byom_bench::run_resilience_sweep` fans out its fault intensities —
 //!   each returns exactly what the sequential loop it replaces would.
 //! * [`exec::install`](byom_exec::install)`(n, f)` pins the budget for
-//!   everything `f` does; [`exec::join`](byom_exec::join) and the
-//!   `par_iter()` surface compose freely beneath it.
-//! * Repeated trace generations with the same `(seed, spec, duration)` are
-//!   deduplicated process-wide by
-//!   [`TraceGenerator::generate_cached`](byom_trace::TraceGenerator::generate_cached),
-//!   so parallel workers share one generation.
+//!   everything `f` does; the `par_iter()` surface composes freely beneath
+//!   it.
 //!
 //! ```
 //! use byom::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let spec = ClusterSpec::balanced(0);
-//! // Shared, memoized trace generation (cheap clones of one Arc'd trace).
-//! let train = TraceGenerator::new(1).generate_cached(&spec, 4.0 * 3600.0);
+//! let train = TraceGenerator::new(1).generate(&spec, 4.0 * 3600.0);
 //! let cost_model = CostModel::new(CostRates::default());
 //! // Train across all cores; the model is identical to a sequential run.
 //! let trained = ByomPipeline::builder()
@@ -106,8 +100,8 @@
 //! ```
 //!
 //! The `perfbench` benchmark (`BENCHMARK.json`, `perfbench/README.md`)
-//! reports training and sweep wall-clock times together with the pool's CPU
-//! utilisation during each.
+//! reports training and sweep wall-clock times together with the process's
+//! CPU utilisation during each.
 //!
 //! ## The histogram engine
 //!

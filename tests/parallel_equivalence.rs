@@ -104,8 +104,8 @@ fn subtraction_mode_is_bit_identical_across_thread_counts_and_runs() {
     let fit = || Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
     let reference = byom::exec::install(1, fit);
     for threads in [1, 2, 8] {
-        // Repeated runs at each thread count: the steal schedule varies from
-        // run to run, the fitted tree must not.
+        // Repeated runs at each thread count: which thread fills which
+        // column varies from run to run, the fitted tree must not.
         for run in 0..3 {
             let tree = byom::exec::install(threads, fit);
             assert_eq!(
@@ -226,9 +226,8 @@ fn quota_fanout_matches_sequential_loop() {
 #[test]
 fn nested_cluster_quota_fanout_matches_sequential_loops() {
     // Clusters fan out in parallel and each cluster sweeps its quotas in
-    // parallel — the exact nesting that used to spawn threads × threads
-    // scoped workers. On the shared pool the nested sweep must still be
-    // byte-identical to two sequential loops.
+    // parallel, with each cluster's thread running its share of the budget.
+    // The nested sweep must still be byte-identical to two sequential loops.
     let specs = vec![ClusterSpec::balanced(33), ClusterSpec::balanced(34)];
     let quotas = [0.05, 0.2];
     let sequential: Vec<_> = specs
@@ -300,16 +299,4 @@ fn parallelism_one_is_strictly_sequential_at_every_nesting_level() {
             }
         }
     }
-}
-
-#[test]
-fn join_matches_running_both_closures() {
-    let (a, b) = byom::exec::install(4, || {
-        byom::exec::join(
-            || (0..100).map(|i| i * 3).sum::<usize>(),
-            || (0..100).map(|i| i * 7).sum::<usize>(),
-        )
-    });
-    assert_eq!(a, (0..100).map(|i| i * 3).sum::<usize>());
-    assert_eq!(b, (0..100).map(|i| i * 7).sum::<usize>());
 }
