@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §5): category label spacing.
+//! Ablation: category label spacing.
 //!
 //! The paper chooses equal-frequency (quantile) I/O-density categories because
 //! linear or logarithmic spacing produces heavily imbalanced classes. This

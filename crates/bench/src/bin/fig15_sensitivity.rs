@@ -3,7 +3,8 @@
 //! Sweeps the spillover tolerance range, the look-back window length, and the
 //! admission-decision interval over the paper's grid and reports the band
 //! (min/max) of TCO savings across all combinations at each SSD quota, plus
-//! the look-back-window semantics ablation called out in DESIGN.md.
+//! an ablation of the feedback signal: the paper's spillover TCIO against
+//! spillover bytes.
 
 use byom_bench::report::f2;
 use byom_bench::{ExperimentContext, Table};

@@ -1,12 +1,13 @@
 //! Shared experiment harness used by the per-figure binaries and by the
 //! `perfbench` benchmark.
 //!
-//! Every table and figure of the paper has a corresponding binary in
-//! `src/bin/` (see DESIGN.md for the index). They all build on the helpers in
-//! this crate: generating train/test traces, training a BYOM deployment, and
-//! running the full set of compared methods (FirstFit, Heuristic, ML
-//! Baseline, Adaptive Hash, Adaptive Ranking, Oracle TCIO, Oracle TCO)
-//! through the simulator at a given SSD quota.
+//! Each reproduced table and figure of the paper has a binary in `src/bin/`
+//! named after it (`fig07_quota_sweep` is Figure 7, `tab04_category_count`
+//! is Table 4), and `golden/` holds each binary's quick-mode output. They
+//! all build on the helpers in this crate: generating train/test traces,
+//! training a BYOM deployment, and running the full set of compared methods
+//! (FirstFit, Heuristic, ML Baseline, Adaptive Hash, Adaptive Ranking, Oracle
+//! TCIO, Oracle TCO) through the simulator at a given SSD quota.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

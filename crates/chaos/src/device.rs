@@ -40,11 +40,6 @@ impl FaultyDevice {
         }
     }
 
-    /// Capacity transitions observed so far.
-    pub fn capacity_steps_observed(&self) -> u64 {
-        self.capacity_steps
-    }
-
     /// Distinct outages triggered so far.
     pub fn admission_outages(&self) -> u64 {
         self.admission_outages
@@ -158,7 +153,9 @@ mod tests {
         assert_eq!(d.capacity_at(100.0, 1_000), 500);
         assert_eq!(d.capacity_at(150.0, 1_000), 500);
         assert_eq!(d.capacity_at(250.0, 1_000), 1_000);
-        assert_eq!(d.capacity_steps_observed(), 2, "down + recovery");
+        let mut report = ResilienceReport::default();
+        d.fill_report(&mut report);
+        assert_eq!(report.capacity_steps, 2, "down + recovery");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! The pieces:
 //!
-//! * [`FaultPlan`] — a serde-configurable description of what to break,
-//!   seeded through the workspace's deterministic RNG. Every per-job fault
+//! * [`FaultPlan`] — a plain-data description of what to break, seeded
+//!   through the workspace's deterministic RNG. Every per-job fault
 //!   decision is derived by hashing `(plan seed, job id, surface salt)`, so
 //!   outcomes are independent of iteration order and identical across runs.
 //! * [`apply_trace_faults`] — perturbs a [`byom_trace::Trace`] (drops,

@@ -1,13 +1,10 @@
-//! The serde-configurable fault plan: what to break, how often, and with
-//! which seed.
-
-use serde::{Deserialize, Serialize};
+//! The fault plan: what to break, how often, and with which seed.
 
 /// Trace-surface faults: flaky metadata-collection pipelines.
 ///
 /// Each probability is evaluated independently per job from a seeded,
 /// job-id-keyed stream; all values must lie in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TraceFaults {
     /// Probability a job is silently dropped from the trace.
     pub drop_probability: f64,
@@ -34,7 +31,7 @@ impl TraceFaults {
 
 /// A contiguous window of simulated time during which the prediction
 /// service cannot answer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlackoutWindow {
     /// Start of the blackout, in simulated seconds.
     pub start_secs: f64,
@@ -50,7 +47,7 @@ impl BlackoutWindow {
 }
 
 /// Model-surface faults: blackouts and label corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ModelFaults {
     /// Prediction blackout window, if any.
     pub blackout: Option<BlackoutWindow>,
@@ -72,7 +69,7 @@ impl ModelFaults {
 /// `factor ×` the configured base capacity (a factor of `1.0` models a
 /// recovery; factors below `1.0` model step-downs from failed drives or
 /// reclaimed quota).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityStep {
     /// Simulated time at which the step takes effect.
     pub at_secs: f64,
@@ -81,7 +78,7 @@ pub struct CapacityStep {
 }
 
 /// Device-surface faults: capacity steps and transient admission failures.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeviceFaults {
     /// Capacity transitions in ascending `at_secs` order.
     pub capacity_steps: Vec<CapacityStep>,
@@ -102,7 +99,7 @@ impl DeviceFaults {
 /// A fault plan describes every fault the run injects. Zero probabilities,
 /// no blackout, and no capacity steps mean "inject nothing", and a
 /// zero-fault plan is guaranteed to reproduce the plan-free run bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every fault decision in the run.
     pub seed: u64,
@@ -323,13 +320,5 @@ mod tests {
         assert!(w.contains(100.0));
         assert!(w.contains(149.9));
         assert!(!w.contains(150.0));
-    }
-
-    #[test]
-    fn plan_round_trips_through_serde() {
-        let plan = FaultPlan::at_intensity(7, 0.5);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
     }
 }

@@ -143,10 +143,7 @@ mod tests {
         let (trained, sim, test) = setup();
         let faulted = run_no_fallback(&trained, &sim, &test, &FaultPlan::none(42));
         let plain = run_unfaulted(&trained, &sim, &test);
-        assert_eq!(
-            serde_json::to_string(&faulted).unwrap(),
-            serde_json::to_string(&plain).unwrap()
-        );
+        assert_eq!(format!("{faulted:?}"), format!("{plain:?}"));
     }
 
     #[test]
@@ -154,10 +151,7 @@ mod tests {
         let (trained, sim, test) = setup();
         let faulted = run_ladder(&trained, &sim, &test, &FaultPlan::none(42));
         let plain = sim.run(&test, &mut trained.ladder_policy());
-        assert_eq!(
-            serde_json::to_string(&faulted).unwrap(),
-            serde_json::to_string(&plain).unwrap()
-        );
+        assert_eq!(format!("{faulted:?}"), format!("{plain:?}"));
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! (admit more categories). Two smoothing mechanisms bound the churn: the
 //! tolerance *range* (no change inside it) and a minimum decision interval.
 
-use byom_sim::JobOutcome;
-use serde::{Deserialize, Serialize};
+use byom_sim::{Device, JobOutcome};
 use std::collections::VecDeque;
 
 /// Which feedback signal drives threshold adaptation.
@@ -21,7 +20,7 @@ use std::collections::VecDeque;
 /// The paper uses spillover TCIO; direct SSD-utilization feedback is kept as
 /// an ablation option (it requires knowing the capacity, which the paper
 /// argues is impractical across heterogeneous clusters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeedbackSignal {
     /// The paper's signal: spillover-TCIO percentage over the look-back window.
     SpilloverTcio,
@@ -30,7 +29,7 @@ pub enum FeedbackSignal {
 }
 
 /// Configuration of the adaptive category selection algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Number of model categories N (ACT stays within `[1, N-1]`).
     pub num_categories: usize,
@@ -91,25 +90,14 @@ impl AdaptiveConfig {
     }
 }
 
-/// One entry of the observation history `X_h`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Observation {
-    arrival: f64,
-    scheduled_ssd: bool,
-    ssd_fraction: f64,
-    spillover_time: Option<f64>,
-    tcio_hdd: f64,
-    end: f64,
-    size_bytes: u64,
-}
-
 /// The adaptive category selection state machine (Algorithm 1).
 #[derive(Debug, Clone)]
 pub struct AdaptiveSelector {
     config: AdaptiveConfig,
     act: usize,
     last_decision_time: Option<f64>,
-    history: VecDeque<Observation>,
+    /// The observation history `X_h`, in arrival order.
+    history: VecDeque<JobOutcome>,
     /// Recorded (time, ACT, spillover percentage) samples for analysis
     /// (Figure 16 of the paper).
     trace: Vec<(f64, usize, f64)>,
@@ -165,20 +153,18 @@ impl AdaptiveSelector {
 
     /// Record the realized outcome of a job (the simulator's feedback).
     pub fn observe(&mut self, outcome: &JobOutcome) {
-        self.history.push_back(Observation {
-            arrival: outcome.arrival,
-            scheduled_ssd: outcome.scheduled == byom_sim::Device::Ssd,
-            ssd_fraction: outcome.ssd_fraction,
-            spillover_time: outcome.spillover_time,
-            tcio_hdd: outcome.tcio_hdd,
-            end: outcome.end,
-            size_bytes: outcome.size_bytes,
-        });
+        self.history.push_back(*outcome);
     }
 
     /// The spillover percentage over the current look-back window ending at
     /// `now`, according to the configured feedback signal. Returns 0.0 when
     /// no SSD-scheduled jobs are in the window.
+    ///
+    /// Under [`FeedbackSignal::SpilloverTcio`] each SSD-scheduled job in the
+    /// window contributes the paper's `SPILLOVER_TCIO(x, t)`: the portion of
+    /// its TCIO not realized because of spillover, evaluated at
+    /// `t = min(now, end)`, so a spilled job that has already ended still
+    /// counts its whole spill.
     pub fn spillover_fraction(&mut self, now: f64) -> f64 {
         let window_start = now - self.config.lookback_window_secs;
         // Remove expired observations (jobs that *started* before the window).
@@ -192,7 +178,7 @@ impl AdaptiveSelector {
         let mut spilled = 0.0;
         let mut scheduled = 0.0;
         for o in &self.history {
-            if !o.scheduled_ssd {
+            if o.scheduled != Device::Ssd {
                 continue;
             }
             match self.config.signal {
@@ -238,7 +224,6 @@ impl AdaptiveSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byom_sim::{Device, JobOutcome};
     use byom_trace::JobId;
 
     fn config(n: usize) -> AdaptiveConfig {

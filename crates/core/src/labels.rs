@@ -10,11 +10,10 @@
 //!   Figure 4). Higher categories contain denser — more important — jobs.
 
 use byom_cost::JobCost;
-use serde::{Deserialize, Serialize};
 
 /// Assigns importance-ranking categories to jobs based on TCO savings sign
 /// and I/O density quantiles fit on a training set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryLabeler {
     /// Number of categories, N (including category 0).
     num_categories: usize,

@@ -34,7 +34,6 @@ use byom_cost::JobCost;
 use byom_policies::{CategoryHeuristic, FirstFit};
 use byom_sim::{Device, JobOutcome, PlacementPolicy, SystemState};
 use byom_trace::ShuffleJob;
-use serde::{Deserialize, Serialize};
 
 /// Number of rungs in the degradation ladder.
 pub const LADDER_RUNGS: usize = 4;
@@ -43,7 +42,7 @@ pub const LADDER_RUNGS: usize = 4;
 pub const RUNG_NAMES: [&str; LADDER_RUNGS] = ["model", "hash", "heuristic", "first-fit"];
 
 /// Configuration of the degradation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderConfig {
     /// Demote to the next rung after this many consecutive failures/misses
     /// attributed to the active rung (values below 1 behave as 1).
@@ -71,7 +70,7 @@ impl Default for LadderConfig {
 /// Failures and successes are *attributed*: only events produced by the
 /// currently active rung move the consecutive-failure counter, so a fallback
 /// rung's good outcomes do not mask a blacked-out model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthTracker {
     demote_after: usize,
     probe_after_secs: f64,

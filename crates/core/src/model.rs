@@ -14,10 +14,9 @@ use byom_gbdt::{
     GbdtParams, GradientBoostedTrees,
 };
 use byom_trace::{FeatureEncoder, FeatureGroup, JobFeatures, ShuffleJob, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for training a [`CategoryModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CategoryModelConfig {
     /// Number of importance categories N (the paper's default is 15).
     pub num_categories: usize,
@@ -43,7 +42,7 @@ impl Default for CategoryModelConfig {
 }
 
 /// Evaluation summary of a trained category model on a labelled dataset.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelEvaluation {
     /// Top-1 classification accuracy.
     pub top1_accuracy: f64,
@@ -56,7 +55,7 @@ pub struct ModelEvaluation {
 }
 
 /// A trained per-cluster (or per-workload) category model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CategoryModel {
     encoder: FeatureEncoder,
     model: GradientBoostedTrees,

@@ -15,14 +15,12 @@ use crate::policy::AdaptivePolicy;
 use byom_cost::CostModel;
 use byom_gbdt::{GbdtError, GbdtParams};
 use byom_trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Builder for a [`ByomPipeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ByomPipelineBuilder {
     num_categories: usize,
     gbdt_trees: usize,
-    gbdt_max_depth: usize,
     valid_fraction: f64,
     adaptive: AdaptiveConfig,
     parallelism: usize,
@@ -33,7 +31,6 @@ impl Default for ByomPipelineBuilder {
         ByomPipelineBuilder {
             num_categories: 15,
             gbdt_trees: 300,
-            gbdt_max_depth: 6,
             valid_fraction: 0.2,
             adaptive: AdaptiveConfig::default(),
             parallelism: 0,
@@ -51,12 +48,6 @@ impl ByomPipelineBuilder {
     /// Maximum number of boosting rounds (paper default: 300).
     pub fn gbdt_trees(mut self, trees: usize) -> Self {
         self.gbdt_trees = trees;
-        self
-    }
-
-    /// Maximum tree depth (paper default: 6).
-    pub fn gbdt_max_depth(mut self, depth: usize) -> Self {
-        self.gbdt_max_depth = depth;
         self
     }
 
@@ -92,7 +83,7 @@ impl ByomPipelineBuilder {
 }
 
 /// An untrained BYOM pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ByomPipeline {
     builder: ByomPipelineBuilder,
 }
@@ -111,10 +102,6 @@ impl ByomPipeline {
             gbdt: GbdtParams {
                 num_classes: b.num_categories,
                 num_trees: b.gbdt_trees,
-                tree: byom_gbdt::TreeParams {
-                    max_depth: b.gbdt_max_depth,
-                    ..byom_gbdt::TreeParams::default()
-                },
                 parallelism: b.parallelism,
                 ..GbdtParams::default()
             },
@@ -252,13 +239,11 @@ mod tests {
         let p = ByomPipeline::builder()
             .num_categories(7)
             .gbdt_trees(50)
-            .gbdt_max_depth(4)
             .valid_fraction(0.1)
             .build();
         let cfg = p.model_config();
         assert_eq!(cfg.num_categories, 7);
         assert_eq!(cfg.gbdt.num_trees, 50);
-        assert_eq!(cfg.gbdt.tree.max_depth, 4);
         assert_eq!(cfg.valid_fraction, 0.1);
     }
 

@@ -4,11 +4,10 @@ use crate::rates::CostRates;
 use crate::tcio::tcio_on_hdd;
 use crate::tco::{tco_hdd, tco_ssd, TcoBreakdown};
 use byom_trace::{JobId, ShuffleJob, Trace};
-use serde::{Deserialize, Serialize};
 
 /// All cost quantities of one job, precomputed once so that placement
 /// policies, the oracle solver and the simulator can share them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobCost {
     /// Job identifier.
     pub id: JobId,
@@ -56,7 +55,7 @@ impl JobCost {
 
 /// The cost model: a set of [`CostRates`] plus the derived per-job
 /// computations.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostModel {
     rates: CostRates,
 }

@@ -8,10 +8,8 @@
 //! bytes, SSD writes incur wear-out cost, and I/O-dense jobs are cheaper on
 //! SSD while large, sequential, long-lived jobs are cheaper on HDD.
 
-use serde::{Deserialize, Serialize};
-
 /// Dollar-conversion rates and device constants used by the cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostRates {
     /// Cost of storing one byte on HDD for one second (`byte_cost^HDD`).
     pub hdd_byte_cost_per_sec: f64,

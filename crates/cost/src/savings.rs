@@ -2,14 +2,13 @@
 //! TCO-savings-percent and TCIO-savings-percent metrics.
 
 use crate::job_cost::JobCost;
-use serde::{Deserialize, Serialize};
 
 /// The realized placement of one job after simulation.
 ///
 /// `ssd_fraction` is the fraction of the job's footprint (and, pro rata, its
 /// I/O) that was actually served from SSD. A job admitted to SSD that later
 /// spilled over to HDD has a fraction strictly between 0 and 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
     /// Fraction of the job served from SSD, in `[0, 1]`.
     pub ssd_fraction: f64,
@@ -43,7 +42,7 @@ impl Placement {
 
 /// Aggregate savings of one placement run, relative to the all-on-HDD
 /// baseline, matching the metrics reported throughout the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SavingsSummary {
     /// Total TCO if every job were placed on HDD (the baseline denominator).
     pub baseline_tco: f64,

@@ -4,10 +4,9 @@
 use crate::rates::CostRates;
 use crate::tcio::tcio_on_hdd;
 use byom_trace::ShuffleJob;
-use serde::{Deserialize, Serialize};
 
 /// A TCO value decomposed into the paper's four components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TcoBreakdown {
     /// `cost_byte`: storing the job's footprint for its duration.
     pub byte: f64,

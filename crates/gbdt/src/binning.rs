@@ -8,10 +8,9 @@
 
 use crate::dataset::Dataset;
 use crate::histogram::BinnedMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Maps raw feature values to discrete bin indices per feature.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinMapper {
     /// `edges[f]` holds the upper edges of feature `f`'s bins (sorted,
     /// exclusive of the last bin which is unbounded above).

@@ -3,10 +3,9 @@
 use crate::error::GbdtError;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major dataset of numeric features with integer class labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     values: Vec<f64>,
     labels: Vec<usize>,
@@ -244,13 +243,5 @@ mod tests {
         let d = small();
         let mut rng = StdRng::seed_from_u64(0);
         let _ = d.split(&mut rng, 1.0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let d = small();
-        let s = serde_json::to_string(&d).unwrap();
-        let back: Dataset = serde_json::from_str(&s).unwrap();
-        assert_eq!(d, back);
     }
 }

@@ -9,10 +9,9 @@ use byom_exec::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of the boosted ensemble.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GbdtParams {
     /// Number of output classes (the paper's category count, e.g. 15).
     pub num_classes: usize,
@@ -104,7 +103,7 @@ impl GbdtParams {
 }
 
 /// Summary of one training run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainReport {
     /// Number of boosting rounds actually kept in the model.
     pub rounds: usize,
@@ -117,7 +116,7 @@ pub struct TrainReport {
 }
 
 /// A trained gradient-boosted multiclass model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientBoostedTrees {
     num_classes: usize,
     num_features: usize,
@@ -558,22 +557,6 @@ mod tests {
         assert_eq!(p.num_classes, 15);
         assert_eq!(p.num_trees, 300);
         assert_eq!(p.tree.max_depth, 6);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_predictions() {
-        let train = three_class_data(200, 9);
-        let params = GbdtParams {
-            num_classes: 3,
-            num_trees: 8,
-            ..Default::default()
-        };
-        let model = GradientBoostedTrees::train(&params, &train, None).unwrap();
-        let json = serde_json::to_string(&model).unwrap();
-        let back: GradientBoostedTrees = serde_json::from_str(&json).unwrap();
-        for i in 0..20 {
-            assert_eq!(model.predict(train.row(i)), back.predict(train.row(i)));
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   categories;
 //! * **interpretability** — split-gain and permutation/AUC-drop feature
 //!   importance, including per-category binary analyses (Figure 9c);
-//! * **small models** — serializable with serde, no external runtime.
+//! * **small models** — plain `Vec`-backed trees, no external runtime.
 //!
 //! # Example
 //!

@@ -12,10 +12,9 @@ use crate::binning::BinMapper;
 use crate::histogram::{
     fill_histogram, subtract_sibling, BinnedMatrix, FeatureLayout, HistBin, HistogramPool,
 };
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of a single tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
     /// Maximum tree depth (root = depth 0). The paper uses 6.
     pub max_depth: usize,
@@ -39,7 +38,7 @@ impl Default for TreeParams {
 }
 
 /// One node of a fitted tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
     /// Feature index this node splits on (unused for leaves).
     pub feature: u32,
@@ -63,7 +62,7 @@ impl Node {
 }
 
 /// A fitted regression tree.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Tree {
     nodes: Vec<Node>,
 }
@@ -681,20 +680,5 @@ mod tests {
         let mapper = BinMapper::fit(&data, 8);
         let binned = mapper.bin_dataset(&data);
         let _ = Tree::fit(&binned, &mapper, &[0.0], &[1.0], &[], TreeParams::default());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
-        let ys: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let (tree, _) = fit_regression(xs, ys, TreeParams::default());
-        let s = serde_json::to_string(&tree).unwrap();
-        let back: Tree = serde_json::from_str(&s).unwrap();
-        assert_eq!(tree.num_nodes(), back.num_nodes());
-        // serde_json's default float parsing may lose the last ULP, so compare
-        // predictions approximately rather than node-by-node equality.
-        for x in [0.0, 5.0, 17.0, 33.0, 39.0] {
-            assert!((tree.predict_row(&[x]) - back.predict_row(&[x])).abs() < 1e-9);
-        }
     }
 }

@@ -13,10 +13,9 @@ use byom_cost::JobCost;
 use byom_gbdt::{Dataset, GbdtError, GbdtParams, GradientBoostedTrees};
 use byom_sim::{Device, PlacementPolicy, SystemState};
 use byom_trace::{FeatureEncoder, ShuffleJob, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the lifetime-prediction baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimeModelConfig {
     /// Number of logarithmically spaced lifetime buckets.
     pub num_buckets: usize,
@@ -112,11 +111,6 @@ impl LifetimeMlBaseline {
             var += p * d * d;
         }
         (mean, var.sqrt())
-    }
-
-    /// The configured TTL in seconds.
-    pub fn ttl_secs(&self) -> f64 {
-        self.config.ttl_secs
     }
 }
 
@@ -223,12 +217,5 @@ mod tests {
                 "short {short_rate} should be admitted at least as often as long {long_rate}"
             );
         }
-    }
-
-    #[test]
-    fn name_and_ttl_accessors() {
-        let trace = TraceGenerator::new(23).generate(&ClusterSpec::balanced(0), 7_200.0);
-        let baseline = LifetimeMlBaseline::train(config(), &trace).unwrap();
-        assert_eq!(baseline.ttl_secs(), config().ttl_secs);
     }
 }

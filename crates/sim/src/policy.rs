@@ -4,10 +4,9 @@
 use crate::result::ResilienceReport;
 use byom_cost::JobCost;
 use byom_trace::{JobId, ShuffleJob};
-use serde::{Deserialize, Serialize};
 
 /// The device a policy schedules a job onto.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Device {
     /// Schedule the job's intermediate files onto SSD.
     Ssd,
@@ -21,7 +20,7 @@ pub enum Device {
 /// decision time is included: current occupancy, capacity, and the clock.
 /// Clairvoyant information (future arrivals, true job lifetimes) is *not*
 /// exposed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemState {
     /// Current simulation time (the arriving job's arrival time).
     pub now: f64,
@@ -41,7 +40,7 @@ impl SystemState {
 
 /// The realized outcome of one job's placement, reported back to policies
 /// after the simulator resolves capacity and spillover.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
     /// The job this outcome describes.
     pub job_id: JobId,
@@ -67,25 +66,6 @@ impl JobOutcome {
     /// Whether the job was scheduled onto SSD but did not fully fit.
     pub fn spilled(&self) -> bool {
         self.scheduled == Device::Ssd && self.ssd_fraction < 1.0
-    }
-
-    /// The paper's `SPILLOVER_TCIO(x, t)`: the portion of the job's intended
-    /// TCIO savings not realized because of spillover, evaluated at time `t`.
-    ///
-    /// Returns 0 for jobs scheduled to HDD, jobs that fully fit, or `t`
-    /// before the spillover started.
-    pub fn spillover_tcio(&self, t: f64) -> f64 {
-        let Some(ts) = self.spillover_time else {
-            return 0.0;
-        };
-        if self.scheduled != Device::Ssd || t <= self.arrival || t < ts {
-            return 0.0;
-        }
-        // Fraction of the observation window [arrival, t] spent spilled,
-        // weighted by the portion of the job that spilled.
-        let window = (t - self.arrival).max(1e-9);
-        let spilled_window = (t.min(self.end).max(ts) - ts).max(0.0);
-        (spilled_window / window) * (1.0 - self.ssd_fraction) * self.tcio_hdd
     }
 }
 
@@ -155,36 +135,5 @@ mod tests {
         assert!(outcome(Device::Ssd, 0.5, Some(10.0)).spilled());
         assert!(!outcome(Device::Ssd, 1.0, None).spilled());
         assert!(!outcome(Device::Hdd, 0.0, None).spilled());
-    }
-
-    #[test]
-    fn spillover_tcio_zero_without_spill_or_for_hdd() {
-        assert_eq!(outcome(Device::Ssd, 1.0, None).spillover_tcio(50.0), 0.0);
-        assert_eq!(
-            outcome(Device::Hdd, 0.0, Some(10.0)).spillover_tcio(50.0),
-            0.0
-        );
-    }
-
-    #[test]
-    fn spillover_tcio_full_spill_from_arrival_equals_tcio() {
-        // Job fully spilled from its arrival: at any t within its life, the
-        // full TCIO counts as spilled.
-        let o = outcome(Device::Ssd, 0.0, Some(10.0));
-        assert!((o.spillover_tcio(60.0) - 2.0).abs() < 1e-9);
-        assert!((o.spillover_tcio(110.0) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spillover_tcio_partial_spill_scales_with_fraction() {
-        let o = outcome(Device::Ssd, 0.75, Some(10.0));
-        assert!((o.spillover_tcio(60.0) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spillover_tcio_before_arrival_is_zero() {
-        let o = outcome(Device::Ssd, 0.0, Some(10.0));
-        assert_eq!(o.spillover_tcio(10.0), 0.0);
-        assert_eq!(o.spillover_tcio(5.0), 0.0);
     }
 }

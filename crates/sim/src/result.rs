@@ -4,7 +4,6 @@
 
 use crate::policy::{Device, JobOutcome};
 use byom_cost::{JobCost, SavingsSummary};
-use serde::{Deserialize, Serialize};
 
 /// Fault and degradation accounting for one simulator run.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// [`DeviceModel`](crate::device::DeviceModel) driving the run; degradation
 /// policies contribute their rung occupancy through
 /// [`PlacementPolicy::fill_resilience`](crate::policy::PlacementPolicy::fill_resilience).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilienceReport {
     /// Jobs removed from the trace by drop faults.
     pub jobs_dropped: u64,
@@ -59,7 +58,7 @@ impl ResilienceReport {
 }
 
 /// The output of one simulator run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// The policy that produced this result.
     pub policy_name: String,

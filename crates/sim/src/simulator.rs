@@ -7,12 +7,11 @@ use crate::policy::{Device, JobOutcome, PlacementPolicy, SystemState};
 use crate::result::SimulationResult;
 use byom_cost::{savings_summary, CostModel, Placement};
 use byom_trace::Trace;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Simulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// SSD space quota in bytes. The paper expresses quotas as a fraction of
     /// the trace's peak space usage ([`byom_trace::Trace::peak_space_usage`]).

@@ -18,10 +18,9 @@
 use crate::segment_tree::SegmentTree;
 use crate::timeline::Timeline;
 use byom_cost::JobCost;
-use serde::{Deserialize, Serialize};
 
 /// What the oracle optimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OracleObjective {
     /// Maximize total TCO savings (jobs with negative savings are never
     /// placed on SSD).
@@ -41,7 +40,7 @@ impl OracleObjective {
 }
 
 /// The oracle's placement decision for a set of jobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OracleSolution {
     /// `on_ssd[i]` is true if job `i` (in input order) is placed on SSD.
     pub on_ssd: Vec<bool>,

@@ -8,7 +8,6 @@
 //! weighted mixtures of archetypes.
 
 use crate::distributions::{BoundedPareto, LogNormal};
-use serde::{Deserialize, Serialize};
 
 /// The workload classes used to synthesize clusters.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// data-processing framework the paper targets); the last two model the
 /// non-framework workloads of Appendix C.1 (ML checkpointing and a
 /// compress-and-upload user workflow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Archetype {
     /// Batch log-processing pipelines: large, mostly-sequential intermediate
     /// files with modest re-read counts. HDD-leaning.

@@ -9,13 +9,12 @@
 
 use crate::archetype::Archetype;
 use crate::distributions::DiurnalPattern;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a cluster (C0, C1, ... in the paper's figures).
 pub type ClusterId = u16;
 
 /// Specification of one pipeline population within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineSpec {
     /// Workload archetype of the pipeline.
     pub archetype: Archetype,
@@ -44,7 +43,7 @@ impl PipelineSpec {
 }
 
 /// Specification of one cluster's workload mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Cluster identifier.
     pub id: ClusterId,

@@ -7,7 +7,6 @@
 //! Box–Muller constructions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Sample a standard normal variate via the Box–Muller transform.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
@@ -87,7 +86,7 @@ impl BoundedPareto {
 
 /// Diurnal (and weekly) load modulation: a multiplicative factor applied to
 /// arrival rates as a function of time-of-day and day-of-week.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalPattern {
     /// Amplitude of the daily sinusoid in `[0, 1)`; 0 disables modulation.
     pub daily_amplitude: f64,

@@ -12,12 +12,11 @@ use crate::features::{
     FeatureGroup, JobFeatures, FEATURE_GROUPS, FEATURE_NAMES, NUMERIC_FEATURE_COUNT,
 };
 use crate::metadata::tokenize;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// Encodes [`JobFeatures`] into fixed-width numeric vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureEncoder {
     /// Number of hash buckets used for execution-metadata tokens.
     pub metadata_hash_buckets: usize,

@@ -11,10 +11,8 @@
 //!   cluster scheduler before execution.
 //! * **T — Job timestamp**: hour of day, second of day, weekday.
 
-use serde::{Deserialize, Serialize};
-
 /// The feature groups used for importance analysis (Figure 9c).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureGroup {
     /// Group A: historical system metrics from previous executions.
     HistoricalSystemMetrics,
@@ -90,7 +88,7 @@ pub const FEATURE_GROUPS: [FeatureGroup; NUMERIC_FEATURE_COUNT] = [
 ];
 
 /// Application-level features known *before* a job executes (Table 2).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobFeatures {
     // -- Group A: historical system metrics (from previous executions of the
     //    same pipeline step). Zero when no history exists.

@@ -7,16 +7,13 @@
 //! application-level features of [`crate::features::JobFeatures`].
 
 use crate::features::JobFeatures;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A unique identifier for a shuffle job within a trace.
 ///
 /// Identifiers are assigned sequentially by the trace generator and are
 /// stable across runs with the same seed.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -37,7 +34,7 @@ impl From<u64> for JobId {
 /// The cost model in `byom-cost` converts an [`IoProfile`] into the paper's
 /// `TCIO` metric, which expresses disk pressure in units of "one standard
 /// HDD's sustainable I/O per second".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IoProfile {
     /// Total bytes written to intermediate files (raw + sorted copies).
     pub written_bytes: u64,
@@ -63,7 +60,7 @@ impl IoProfile {
 }
 
 /// A single shuffle job: the unit of data placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShuffleJob {
     /// Unique identifier within the trace.
     pub id: JobId,
@@ -165,13 +162,5 @@ mod tests {
             mean_read_size: 1,
         };
         assert_eq!(p.total_bytes(), u64::MAX);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let j = job(42, 1, 2);
-        let s = serde_json::to_string(&j).unwrap();
-        let back: ShuffleJob = serde_json::from_str(&s).unwrap();
-        assert_eq!(j, back);
     }
 }

@@ -1,13 +1,11 @@
 //! The [`Trace`] container: an arrival-ordered sequence of shuffle jobs plus
 //! the aggregate queries that experiments need (peak space usage, time
-//! splits, per-cluster filtering, serialization).
+//! splits, per-cluster filtering).
 
 use crate::job::ShuffleJob;
-use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
 
 /// An arrival-time-ordered sequence of shuffle jobs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     jobs: Vec<ShuffleJob>,
 }
@@ -127,37 +125,6 @@ impl Trace {
     pub fn merge<I: IntoIterator<Item = Trace>>(traces: I) -> Trace {
         let jobs: Vec<ShuffleJob> = traces.into_iter().flat_map(|t| t.jobs).collect();
         Trace::new(jobs)
-    }
-
-    /// Serialize the trace as JSON lines (one job per line) to a writer.
-    ///
-    /// # Errors
-    /// Returns any I/O or serialization error from the underlying writer.
-    pub fn write_jsonl<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        for job in &self.jobs {
-            let line = serde_json::to_string(job)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            writeln!(w, "{line}")?;
-        }
-        Ok(())
-    }
-
-    /// Read a trace from JSON lines produced by [`Trace::write_jsonl`].
-    ///
-    /// # Errors
-    /// Returns any I/O or deserialization error.
-    pub fn read_jsonl<R: BufRead>(r: R) -> std::io::Result<Trace> {
-        let mut jobs = Vec::new();
-        for line in r.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let job: ShuffleJob = serde_json::from_str(&line)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            jobs.push(job);
-        }
-        Ok(Trace::new(jobs))
     }
 }
 
@@ -304,25 +271,6 @@ mod tests {
     fn time_span_covers_latest_end() {
         let t = Trace::new(vec![job(0, 1.0, 100.0, 1), job(1, 50.0, 10.0, 1)]);
         assert_eq!(t.time_span(), (1.0, 101.0));
-    }
-
-    #[test]
-    fn jsonl_round_trip() {
-        let t = Trace::new(vec![job(0, 1.0, 2.0, 3), job(1, 4.0, 5.0, 6)]);
-        let mut buf = Vec::new();
-        t.write_jsonl(&mut buf).unwrap();
-        let back = Trace::read_jsonl(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn read_jsonl_skips_blank_lines_and_rejects_garbage() {
-        let ok = "\n\n";
-        assert!(Trace::read_jsonl(std::io::Cursor::new(ok))
-            .unwrap()
-            .is_empty());
-        let bad = "not json\n";
-        assert!(Trace::read_jsonl(std::io::Cursor::new(bad)).is_err());
     }
 
     #[test]

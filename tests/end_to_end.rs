@@ -144,31 +144,6 @@ fn larger_quota_never_reduces_adaptive_ranking_tcio_savings() {
 }
 
 #[test]
-fn trace_serialization_round_trips_through_the_pipeline() {
-    let f = fixture(1600);
-    let mut buf = Vec::new();
-    f.test.write_jsonl(&mut buf).expect("serialize");
-    let restored = Trace::read_jsonl(std::io::Cursor::new(buf)).expect("deserialize");
-    // serde_json's float parsing may lose the last ULP, so compare structure
-    // and values with a tight relative tolerance instead of exact equality.
-    assert_eq!(f.test.len(), restored.len());
-    for (a, b) in f.test.iter().zip(restored.iter()) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(a.size_bytes, b.size_bytes);
-        assert_eq!(a.features.pipeline_name, b.features.pipeline_name);
-        assert!((a.arrival - b.arrival).abs() <= a.arrival.abs() * 1e-12);
-        assert!((a.lifetime - b.lifetime).abs() <= a.lifetime.abs() * 1e-12);
-    }
-    // The restored trace produces equivalent costs.
-    let a = f.cost_model.cost_trace(&f.test);
-    let b = f.cost_model.cost_trace(&restored);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert!((x.tco_hdd - y.tco_hdd).abs() <= x.tco_hdd.abs() * 1e-9);
-    }
-}
-
-#[test]
 fn model_generalizes_to_a_different_seed_of_the_same_cluster() {
     // Train on one synthetic week, evaluate accuracy on another: the model
     // must do better than chance on unseen data (RQ4, qualitative).

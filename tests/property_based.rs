@@ -1,7 +1,7 @@
-//! Property-based tests over the core invariants listed in DESIGN.md:
-//! cost-model sanity, oracle feasibility and monotonicity, simulator capacity
-//! conservation, label-partition validity, ACT bounds, and GBDT
-//! probability-distribution validity.
+//! Property-based tests over the workspace's core invariants: cost-model
+//! sanity, oracle feasibility and monotonicity, the simulator's occupancy
+//! accounting, label-partition validity, and GBDT probability-distribution
+//! validity.
 //!
 //! The build environment has no crates.io access, so instead of `proptest`
 //! these run each property over a deterministic stream of randomized cases
@@ -117,8 +117,52 @@ fn oracle_feasibility_and_monotonicity() {
     }
 }
 
-/// Simulator: SSD occupancy never exceeds the configured capacity and every
-/// realized SSD fraction is within [0, 1].
+/// Checks the simulator's byte accounting for one run against the states the
+/// policy was shown, decision by decision. Returns how many decisions saw
+/// occupancy above the capacity shown (only a capacity step-down can cause
+/// that, since it evicts nothing).
+fn assert_occupancy_accounting(
+    trace: &Trace,
+    shown: &[SystemState],
+    result: &SimulationResult,
+    label: &str,
+) -> usize {
+    let jobs = trace.jobs();
+    assert_eq!(shown.len(), jobs.len(), "{label}");
+    // Bytes each job placed on SSD; the fraction is `placed / size`, so
+    // rounding recovers the integer exactly.
+    let placed: Vec<u64> = jobs
+        .iter()
+        .zip(&result.outcomes)
+        .map(|(job, o)| (o.ssd_fraction * job.size_bytes as f64).round() as u64)
+        .collect();
+    let mut peak = 0;
+    let mut over_capacity = 0;
+    for (i, (job, state)) in jobs.iter().zip(shown).enumerate() {
+        let resident: u64 = (0..i)
+            .filter(|&j| jobs[j].end() > job.arrival)
+            .map(|j| placed[j])
+            .sum();
+        assert_eq!(state.ssd_occupancy_bytes, resident, "{label}, job {i}");
+        assert!(placed[i] <= state.ssd_free_bytes(), "{label}, job {i}");
+        if state.ssd_occupancy_bytes > state.ssd_capacity_bytes {
+            over_capacity += 1;
+        }
+        if placed[i] > 0 {
+            peak = peak.max(resident + placed[i]);
+        }
+    }
+    assert_eq!(result.peak_ssd_occupancy_bytes, peak, "{label}");
+    over_capacity
+}
+
+/// Simulator: SSD occupancy never exceeds the configured capacity, every
+/// realized SSD fraction is within [0, 1], and the occupancy accounting is
+/// exact for random policies with and without device faults: a policy is
+/// shown the placed bytes of every earlier job still resident, no job places
+/// more than the free space under the capacity it was shown, the reported
+/// peak is the largest occupancy right after an admission, and a policy that
+/// never picks SSD saves nothing.
 #[test]
 fn simulator_respects_capacity() {
     #[derive(Debug)]
@@ -131,19 +175,41 @@ fn simulator_respects_capacity() {
             Device::Ssd
         }
     }
+    /// Sends each job to SSD with a fixed probability and records every
+    /// state it is shown.
+    #[derive(Debug)]
+    struct CoinFlip {
+        ssd_probability: f64,
+        rng: StdRng,
+        shown: Vec<SystemState>,
+    }
+    impl PlacementPolicy for CoinFlip {
+        fn name(&self) -> &str {
+            "coin-flip"
+        }
+        fn place(&mut self, _: &ShuffleJob, _: &JobCost, state: &SystemState) -> Device {
+            self.shown.push(*state);
+            if self.rng.gen_bool(self.ssd_probability) {
+                Device::Ssd
+            } else {
+                Device::Hdd
+            }
+        }
+    }
+    let mut over_capacity = 0;
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x4000 + case);
         let jobs = gen_jobs(&mut rng, 40);
         let capacity = rng.gen_range(0..(1u64 << 41));
         let model = CostModel::new(CostRates::default());
         let trace = Trace::new(jobs);
-        let result = Simulator::new(
+        let sim = Simulator::new(
             SimConfig {
                 ssd_capacity_bytes: capacity,
             },
             model,
-        )
-        .run(&trace, &mut AlwaysSsd);
+        );
+        let result = sim.run(&trace, &mut AlwaysSsd);
         assert!(result.peak_ssd_occupancy_bytes <= capacity, "case {case}");
         for o in &result.outcomes {
             assert!((0.0..=1.0).contains(&o.ssd_fraction), "case {case}");
@@ -154,7 +220,36 @@ fn simulator_respects_capacity() {
                 || result.savings.achieved_tco.is_finite(),
             "case {case}"
         );
+
+        for ssd_probability in [0.0, 0.7, 1.0] {
+            for faulty in [false, true] {
+                let label = format!("case {case}, p {ssd_probability}, faulty {faulty}");
+                let mut policy = CoinFlip {
+                    ssd_probability,
+                    rng: StdRng::seed_from_u64(0x4100 + case),
+                    shown: Vec::new(),
+                };
+                let result = if faulty {
+                    let plan = FaultPlan::at_intensity(case, 1.0);
+                    let mut device = FaultyDevice::new(plan.device, plan.seed);
+                    sim.run_with_device(&trace, &mut policy, &mut device)
+                } else {
+                    sim.run(&trace, &mut policy)
+                };
+                over_capacity +=
+                    assert_occupancy_accounting(&trace, &policy.shown, &result, &label);
+                assert!(result.peak_ssd_occupancy_bytes <= capacity, "{label}");
+                if ssd_probability == 0.0 {
+                    assert_eq!(result.tco_savings_percent(), 0.0, "{label}");
+                    assert_eq!(result.tcio_savings_percent(), 0.0, "{label}");
+                }
+            }
+        }
     }
+    assert!(
+        over_capacity > 0,
+        "no capacity step-down ever left occupancy above the capacity shown"
+    );
 }
 
 /// Category labels form a valid partition: every job gets a label below N and

@@ -44,8 +44,8 @@ fn zero_fault_plan_is_byte_identical_to_plan_free_runs() {
     let plain = run_unfaulted(&ctx.trained, &sim, &ctx.test);
     let faulted = run_no_fallback(&ctx.trained, &sim, &ctx.test, &plan);
     assert_eq!(
-        serde_json::to_string(&plain).expect("serialize"),
-        serde_json::to_string(&faulted).expect("serialize"),
+        format!("{plain:?}"),
+        format!("{faulted:?}"),
         "zero-fault no-fallback run must reproduce the plan-free run byte for byte"
     );
 
@@ -53,8 +53,8 @@ fn zero_fault_plan_is_byte_identical_to_plan_free_runs() {
     let plain_ladder = sim.run(&ctx.test, &mut ladder);
     let faulted_ladder = run_ladder(&ctx.trained, &sim, &ctx.test, &plan);
     assert_eq!(
-        serde_json::to_string(&plain_ladder).expect("serialize"),
-        serde_json::to_string(&faulted_ladder).expect("serialize"),
+        format!("{plain_ladder:?}"),
+        format!("{faulted_ladder:?}"),
         "zero-fault ladder run must reproduce the plan-free ladder run byte for byte"
     );
 }
