@@ -3,6 +3,7 @@
 use crate::binning::BinMapper;
 use crate::dataset::Dataset;
 use crate::error::GbdtError;
+use crate::forest::Forest;
 use crate::metrics::log_loss;
 use crate::tree::{Tree, TreeParams};
 use byom_exec::prelude::*;
@@ -123,8 +124,8 @@ pub struct GradientBoostedTrees {
     learning_rate: f64,
     /// Log-prior initial score per class.
     base_scores: Vec<f64>,
-    /// `trees[round][class]`.
-    trees: Vec<Vec<Tree>>,
+    /// Every tree, rounds outer and classes inner, flattened for inference.
+    forest: Forest,
     /// Training report retained for analysis.
     report: TrainReport,
 }
@@ -135,6 +136,9 @@ impl GradientBoostedTrees {
     /// # Errors
     /// Returns an error for invalid parameters, empty datasets, or labels
     /// outside `[0, num_classes)`.
+    ///
+    /// # Panics
+    /// Panics if the kept trees hold 2^32 nodes or more (a 64 GiB model).
     pub fn train(
         params: &GbdtParams,
         train: &Dataset,
@@ -178,14 +182,10 @@ impl GradientBoostedTrees {
             })
             .unwrap_or_default();
 
-        let mut model = GradientBoostedTrees {
-            num_classes: k,
-            num_features: train.num_features(),
-            learning_rate: params.learning_rate,
-            base_scores,
-            trees: Vec::new(),
-            report: TrainReport::default(),
-        };
+        // `rounds[round][class]`, flattened into the model's forest once
+        // early stopping has decided how many rounds to keep.
+        let mut rounds: Vec<Vec<Tree>> = Vec::new();
+        let mut report = TrainReport::default();
 
         let mut best_valid = f64::INFINITY;
         let mut best_round = 0usize;
@@ -250,18 +250,17 @@ impl GradientBoostedTrees {
                 }
                 round_trees.push(tree);
             }
-            model.trees.push(round_trees);
+            rounds.push(round_trees);
 
             let train_probs = softmax_rows(&scores, k);
-            model
-                .report
+            report
                 .train_loss
                 .push(log_loss(&to_rows(&train_probs, k), train.labels()));
 
             if let Some(v) = valid {
                 let vp = softmax_rows(&valid_scores, k);
                 let vl = log_loss(&to_rows(&vp, k), v.labels());
-                model.report.valid_loss.push(vl);
+                report.valid_loss.push(vl);
                 if vl < best_valid - 1e-9 {
                     best_valid = vl;
                     best_round = round;
@@ -279,11 +278,18 @@ impl GradientBoostedTrees {
 
         if valid.is_some() {
             // Keep only the trees up to the best validation round.
-            model.trees.truncate(best_round + 1);
-            model.report.best_round = Some(best_round);
+            rounds.truncate(best_round + 1);
+            report.best_round = Some(best_round);
         }
-        model.report.rounds = model.trees.len();
-        Ok(model)
+        report.rounds = rounds.len();
+        Ok(GradientBoostedTrees {
+            num_classes: k,
+            num_features: train.num_features(),
+            learning_rate: params.learning_rate,
+            base_scores,
+            forest: Forest::from_rounds(&rounds),
+            report,
+        })
     }
 
     /// Raw (pre-softmax) scores for one feature row.
@@ -318,11 +324,7 @@ impl GradientBoostedTrees {
 
     fn raw_scores(&self, row: &[f64]) -> Vec<f64> {
         let mut scores = self.base_scores.clone();
-        for round in &self.trees {
-            for (class, tree) in round.iter().enumerate() {
-                scores[class] += self.learning_rate * tree.predict_row(row);
-            }
-        }
+        self.forest.add_scores(row, self.learning_rate, &mut scores);
         scores
     }
 
@@ -355,12 +357,12 @@ impl GradientBoostedTrees {
 
     /// Number of boosting rounds in the final model.
     pub fn num_rounds(&self) -> usize {
-        self.trees.len()
+        self.num_trees() / self.num_classes
     }
 
     /// Total number of trees (rounds × classes).
     pub fn num_trees(&self) -> usize {
-        self.trees.iter().map(|r| r.len()).sum()
+        self.forest.num_trees()
     }
 
     /// Number of classes.
@@ -376,11 +378,6 @@ impl GradientBoostedTrees {
     /// The training report (loss curves, rounds, best round).
     pub fn report(&self) -> &TrainReport {
         &self.report
-    }
-
-    /// The trees, indexed as `[round][class]`.
-    pub fn trees(&self) -> &[Vec<Tree>] {
-        &self.trees
     }
 }
 

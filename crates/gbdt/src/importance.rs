@@ -1,16 +1,11 @@
 //! Feature importance analyses.
 //!
-//! Two complementary importance measures are provided:
-//!
-//! * **Split-gain importance**: total loss reduction contributed by splits on
-//!   each feature, summed over every tree in the ensemble. Cheap and
-//!   model-intrinsic.
-//! * **AUC-drop importance** (the paper's Figure 9c methodology): for each
-//!   category, treat "belongs to the category" as a binary prediction task
-//!   and measure how much the ROC AUC decreases when a feature's information
-//!   is removed. We remove a feature's information by permuting its column
-//!   (a standard, retraining-free approximation of the paper's
-//!   leave-one-feature-out analysis). Scores are normalized per category.
+//! **AUC-drop importance** (the paper's Figure 9c methodology): for each
+//! category, treat "belongs to the category" as a binary prediction task and
+//! measure how much the ROC AUC decreases when a feature's information is
+//! removed. We remove a feature's information by permuting its column (a
+//! standard, retraining-free approximation of the paper's
+//! leave-one-feature-out analysis). Scores are normalized per category.
 
 use crate::dataset::Dataset;
 use crate::gbm::GradientBoostedTrees;
@@ -18,24 +13,6 @@ use crate::metrics::binary_auc;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Split-gain importance per feature, normalized to sum to 1 (all zeros if
-/// the model contains no splits).
-pub fn split_gain_importance(model: &GradientBoostedTrees) -> Vec<f64> {
-    let mut gains = vec![0.0f64; model.num_features()];
-    for round in model.trees() {
-        for tree in round {
-            tree.accumulate_gains(&mut gains);
-        }
-    }
-    let total: f64 = gains.iter().sum();
-    if total > 0.0 {
-        for g in &mut gains {
-            *g /= total;
-        }
-    }
-    gains
-}
 
 /// AUC-drop importance: `result[class][feature]` is the decrease in one-vs-
 /// rest ROC AUC for `class` when `feature` is permuted, normalized within the
@@ -160,16 +137,6 @@ mod tests {
             ..Default::default()
         };
         GradientBoostedTrees::train(&params, data, None).unwrap()
-    }
-
-    #[test]
-    fn split_gain_favours_informative_feature() {
-        let data = data_with_noise_feature(500, 1);
-        let model = trained_model(&data);
-        let imp = split_gain_importance(&model);
-        assert_eq!(imp.len(), 2);
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(imp[0] > 0.8, "informative feature importance {imp:?}");
     }
 
     #[test]

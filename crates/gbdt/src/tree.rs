@@ -499,19 +499,6 @@ impl Tree {
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
-
-    /// Accumulate this tree's split gains into `out[feature]`. Features
-    /// beyond `out.len()` are ignored; size `out` to the model's feature
-    /// count to capture every gain.
-    pub fn accumulate_gains(&self, out: &mut [f64]) {
-        for n in &self.nodes {
-            if !n.is_leaf() {
-                if let Some(slot) = out.get_mut(n.feature as usize) {
-                    *slot += n.gain;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -596,11 +583,15 @@ mod tests {
         // Feature 1 is pure noise (constant); feature 0 is informative.
         let xs: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, 1.0]).collect();
         let ys: Vec<f64> = (0..100).map(|i| if i < 30 { -5.0 } else { 5.0 }).collect();
-        let (tree, data) = fit_regression(xs, ys, TreeParams::default());
-        let mut gains = vec![0.0; data.num_features()];
-        tree.accumulate_gains(&mut gains);
-        assert!(gains[0] > 0.0);
-        assert_eq!(gains[1], 0.0);
+        let (tree, _) = fit_regression(xs, ys, TreeParams::default());
+        let split_features: Vec<u32> = tree
+            .nodes()
+            .iter()
+            .filter(|n| !n.is_leaf())
+            .map(|n| n.feature)
+            .collect();
+        assert!(!split_features.is_empty(), "the tree never split");
+        assert!(split_features.iter().all(|&f| f == 0), "{split_features:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Encoding of [`JobFeatures`](crate::features::JobFeatures) into dense
-//! numeric vectors consumable by tree models.
+//! Encoding of [`JobFeatures`] into dense numeric vectors consumable by tree
+//! models.
 //!
 //! The numeric features (groups A, C, T of Table 2) are passed through with a
 //! log transform applied to the wide-range size/count features. The
@@ -89,7 +89,9 @@ impl FeatureEncoder {
                 field_idx.hash(&mut hasher);
                 token.hash(&mut hasher);
                 let b = (hasher.finish() % self.metadata_hash_buckets as u64) as usize;
-                buckets[b] += 1.0;
+                if let Some(bucket) = buckets.get_mut(b) {
+                    *bucket += 1.0;
+                }
             }
         }
         out.extend(buckets);

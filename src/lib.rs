@@ -76,9 +76,8 @@
 //!   operating points of one prepared context, and
 //!   `byom_bench::run_resilience_sweep` fans out its fault intensities —
 //!   each returns exactly what the sequential loop it replaces would.
-//! * [`exec::install`](byom_exec::install)`(n, f)` pins the budget for
-//!   everything `f` does; the `par_iter()` surface composes freely beneath
-//!   it.
+//! * [`exec::install`]`(n, f)` pins the budget for everything `f` does; the
+//!   `par_iter()` surface composes freely beneath it.
 //!
 //! ```
 //! use byom::prelude::*;
@@ -105,9 +104,9 @@
 //!
 //! ## The histogram engine
 //!
-//! GBDT training runs on a histogram engine
-//! ([`gbdt::histogram`](byom_gbdt::histogram)): features are pre-binned
-//! into a column-major [`BinnedMatrix`](byom_gbdt::BinnedMatrix) so
+//! GBDT training runs on a histogram engine ([`gbdt::histogram`]): features
+//! are pre-binned into a column-major
+//! [`BinnedMatrix`](byom_gbdt::BinnedMatrix) so
 //! per-node fills stream contiguous columns, per-node buffers are pooled,
 //! and each split builds only the smaller child's histogram and derives the
 //! sibling as `parent − child`. Fits are bit-identical across thread counts
