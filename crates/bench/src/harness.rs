@@ -32,7 +32,7 @@ pub struct ExperimentParams {
     /// ([`run_clusters_parallel`], [`run_quotas_parallel`],
     /// `run_resilience_sweep`). It is one budget for the whole experiment
     /// rather than a per-level multiplier: each thread of a fan-out
-    /// (clusters × per-class trees × split search) runs its share of it, so
+    /// (clusters × per-class trees × histogram fill) runs its share of it, so
     /// no more than this many closures run at once. `0` means "inherit the
     /// ambient budget" (`BYOM_THREADS` or all cores at top level); `1`
     /// forces strictly sequential execution at every nesting level. Results

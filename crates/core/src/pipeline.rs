@@ -66,10 +66,10 @@ impl ByomPipelineBuilder {
 
     /// Thread budget used while training the category model: the per-class
     /// trees of each boosting round are fitted concurrently, and the
-    /// per-feature histogram fill inside each tree runs on its thread's
-    /// share of the same budget. `0` (the default) inherits
-    /// the ambient budget (`BYOM_THREADS` or all cores); `1` trains strictly
-    /// sequentially at every nesting level. The trained model is
+    /// histogram fill inside each tree runs on its thread's share of the
+    /// same budget. `0` (the default) inherits the ambient budget
+    /// (`BYOM_THREADS` or all cores); `1` trains strictly sequentially at
+    /// every nesting level. The trained model is
     /// bit-identical regardless of this setting.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads;

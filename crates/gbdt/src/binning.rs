@@ -22,9 +22,11 @@ impl BinMapper {
     /// Fit bin edges on a training dataset.
     ///
     /// # Panics
-    /// Panics if `max_bins < 2`.
+    /// Panics if `max_bins < 2`, or if `max_bins > 256`: a
+    /// [`BinnedMatrix`] stores each bin index in a `u8`.
     pub fn fit(data: &Dataset, max_bins: usize) -> Self {
         assert!(max_bins >= 2, "need at least 2 bins");
+        assert!(max_bins <= 256, "at most 256 bins fit a u8 bin index");
         let n = data.len();
         let mut edges = Vec::with_capacity(data.num_features());
         // One sort scratch reused across features: `clear` keeps the
@@ -87,10 +89,10 @@ impl BinMapper {
         e.partition_point(|&edge| edge < v)
     }
 
-    /// Pre-bin an entire dataset into a column-major [`BinnedMatrix`] of
-    /// bin indices (`u16`, so up to 65k bins per feature). Per-feature
-    /// histogram fills then walk one contiguous column instead of striding
-    /// across every row.
+    /// Pre-bin an entire dataset into a row-major [`BinnedMatrix`] of `u8`
+    /// bin indices ([`BinMapper::fit`] caps every feature at 256 bins). A
+    /// histogram fill then reads each row's bins for all features as
+    /// adjacent bytes.
     pub fn bin_dataset(&self, data: &Dataset) -> BinnedMatrix {
         BinnedMatrix::from_dataset(self, data)
     }
@@ -163,6 +165,18 @@ mod tests {
     }
 
     #[test]
+    fn a_256_bin_feature_keeps_every_bin_index() {
+        let d = dataset((0..1000).map(|i| i as f64).collect());
+        let m = BinMapper::fit(&d, 256);
+        assert_eq!(m.num_bins(0), 256);
+        let binned = m.bin_dataset(&d);
+        for i in 0..1000 {
+            assert_eq!(usize::from(binned.bin(i, 0)), m.bin(0, i as f64));
+        }
+        assert_eq!(binned.bin(999, 0), 255);
+    }
+
+    #[test]
     fn edges_are_strictly_increasing() {
         let d = dataset((0..1000).map(|i| (i % 37) as f64).collect());
         let m = BinMapper::fit(&d, 16);
@@ -176,5 +190,12 @@ mod tests {
     fn rejects_one_bin() {
         let d = dataset(vec![1.0, 2.0]);
         let _ = BinMapper::fit(&d, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 bins")]
+    fn rejects_more_bins_than_a_u8_holds() {
+        let d = dataset(vec![1.0, 2.0]);
+        let _ = BinMapper::fit(&d, 257);
     }
 }

@@ -23,7 +23,8 @@ pub struct GbdtParams {
     pub learning_rate: f64,
     /// Per-tree parameters (depth, regularization, ...).
     pub tree: TreeParams,
-    /// Maximum number of histogram bins per feature.
+    /// Maximum number of histogram bins per feature, in `2..=256` (each bin
+    /// index is stored as a `u8`).
     pub max_bins: usize,
     /// Fraction of rows sampled (without replacement) per boosting round.
     pub subsample: f64,
@@ -33,9 +34,10 @@ pub struct GbdtParams {
     /// RNG seed for row subsampling.
     pub seed: u64,
     /// Worker threads for training: the per-class trees of each boosting
-    /// round are fitted concurrently, and large nodes search their split
-    /// candidates feature-parallel. `0` means "all available cores" and `1`
-    /// recovers the fully sequential behavior. Any value produces
+    /// round are fitted concurrently, and large nodes fill their histograms
+    /// in parallel on a thread's share of the budget (the split search
+    /// itself is sequential). `0` inherits the ambient `byom_exec` budget
+    /// and `1` recovers the fully sequential behavior. Any value produces
     /// **bit-identical** models — parallelism never changes the result.
     pub parallelism: usize,
 }
@@ -96,8 +98,11 @@ impl GbdtParams {
                 self.subsample
             )));
         }
-        if self.max_bins < 2 {
-            return Err(GbdtError::InvalidParams("max_bins must be >= 2".into()));
+        if !(2..=256).contains(&self.max_bins) {
+            return Err(GbdtError::InvalidParams(format!(
+                "max_bins must be in 2..=256, got {}",
+                self.max_bins
+            )));
         }
         Ok(())
     }
@@ -191,13 +196,17 @@ impl GradientBoostedTrees {
         let mut best_round = 0usize;
         let mut rounds_since_best = 0usize;
 
+        // Softmax probabilities of `scores`, refilled in place after every
+        // round's score update: that round's training loss and the next
+        // round's gradients both read them.
+        let mut probs = vec![0.0f64; n * k];
+        softmax_into(&scores, &mut probs, k);
+        let mut valid_probs = vec![0.0f64; valid_scores.len()];
+
         let mut all_rows: Vec<usize> = (0..n).collect();
         let sample_size = ((n as f64 * params.subsample).round() as usize).clamp(1, n);
 
         for round in 0..params.num_trees {
-            // Softmax probabilities and gradients.
-            let probs = softmax_rows(&scores, k);
-
             all_rows.shuffle(&mut rng);
             let sample = &all_rows[..sample_size];
 
@@ -206,7 +215,7 @@ impl GradientBoostedTrees {
             // gradients all derive from the probabilities computed at the
             // start of the round, and their score updates touch disjoint
             // class columns), so classes fan out under `params.parallelism`;
-            // the per-feature histogram fill inside each tree runs on its
+            // the histogram fill inside each tree runs on its
             // thread's share of that budget rather than claiming a quota of
             // its own. The result is bit-identical to sequential because each
             // class's work is a pure function of the round-start
@@ -217,11 +226,12 @@ impl GradientBoostedTrees {
                 .map(|class| {
                     let mut grad = vec![0.0f64; n];
                     let mut hess = vec![0.0f64; n];
-                    for i in 0..n {
-                        let p = probs[i * k + class];
-                        let y = if train.labels()[i] == class { 1.0 } else { 0.0 };
-                        grad[i] = p - y;
-                        hess[i] = (p * (1.0 - p)).max(1e-6);
+                    let stats = grad.iter_mut().zip(hess.iter_mut());
+                    for ((g, h), (row, &label)) in stats.zip(probs.chunks(k).zip(train.labels())) {
+                        let p = row.get(class).copied().unwrap_or(0.0);
+                        let y = if label == class { 1.0 } else { 0.0 };
+                        *g = p - y;
+                        *h = (p * (1.0 - p)).max(1e-6);
                     }
                     // `fit_scored` also harvests every training row's leaf
                     // value from the partition the fit computes anyway, so
@@ -242,24 +252,26 @@ impl GradientBoostedTrees {
             let mut round_trees = Vec::with_capacity(k);
             for (class, (tree, train_preds, valid_preds)) in fitted.into_iter().enumerate() {
                 // Update raw scores for all rows.
-                for (i, p) in train_preds.into_iter().enumerate() {
-                    scores[i * k + class] += params.learning_rate * p;
+                for (row, p) in scores.chunks_mut(k).zip(train_preds) {
+                    if let Some(s) = row.get_mut(class) {
+                        *s += params.learning_rate * p;
+                    }
                 }
-                for (i, p) in valid_preds.into_iter().enumerate() {
-                    valid_scores[i * k + class] += params.learning_rate * p;
+                for (row, p) in valid_scores.chunks_mut(k).zip(valid_preds) {
+                    if let Some(s) = row.get_mut(class) {
+                        *s += params.learning_rate * p;
+                    }
                 }
                 round_trees.push(tree);
             }
             rounds.push(round_trees);
 
-            let train_probs = softmax_rows(&scores, k);
-            report
-                .train_loss
-                .push(log_loss(&to_rows(&train_probs, k), train.labels()));
+            softmax_into(&scores, &mut probs, k);
+            report.train_loss.push(log_loss(&probs, k, train.labels()));
 
             if let Some(v) = valid {
-                let vp = softmax_rows(&valid_scores, k);
-                let vl = log_loss(&to_rows(&vp, k), v.labels());
+                softmax_into(&valid_scores, &mut valid_probs, k);
+                let vl = log_loss(&valid_probs, k, v.labels());
                 report.valid_loss.push(vl);
                 if vl < best_valid - 1e-9 {
                     best_valid = vl;
@@ -331,7 +343,9 @@ impl GradientBoostedTrees {
     /// Class probability distribution for one feature row.
     pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
         let raw = self.predict_raw(row);
-        softmax(&raw)
+        let mut probs = vec![0.0; raw.len()];
+        softmax_into(&raw, &mut probs, self.num_classes);
+        probs
     }
 
     /// Most likely class for one feature row.
@@ -381,23 +395,21 @@ impl GradientBoostedTrees {
     }
 }
 
-fn softmax(raw: &[f64]) -> Vec<f64> {
-    let max = raw.iter().cloned().fold(f64::MIN, f64::max);
-    let exps: Vec<f64> = raw.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.iter().map(|&e| e / sum).collect()
-}
-
-fn softmax_rows(scores: &[f64], k: usize) -> Vec<f64> {
-    let mut out = vec![0.0; scores.len()];
-    for (row_in, row_out) in scores.chunks(k).zip(out.chunks_mut(k)) {
-        row_out.copy_from_slice(&softmax(row_in));
+/// Softmax of each `k`-wide row of the row-major `scores`, written in place
+/// into the same-shaped `probs`: `exp(x − max)` per class, their sum in
+/// class order, then one division per class.
+fn softmax_into(scores: &[f64], probs: &mut [f64], k: usize) {
+    let k = k.max(1);
+    for (raw, out) in scores.chunks(k).zip(probs.chunks_mut(k)) {
+        let max = raw.iter().copied().fold(f64::MIN, f64::max);
+        for (p, &x) in out.iter_mut().zip(raw) {
+            *p = (x - max).exp();
+        }
+        let sum: f64 = out.iter().sum();
+        for p in out.iter_mut() {
+            *p /= sum;
+        }
     }
-    out
-}
-
-fn to_rows(flat: &[f64], k: usize) -> Vec<Vec<f64>> {
-    flat.chunks(k).map(|c| c.to_vec()).collect()
 }
 
 fn argmax(v: &[f64]) -> usize {
@@ -525,6 +537,24 @@ mod tests {
             ..Default::default()
         };
         assert!(GradientBoostedTrees::train(&bad_sub, &train, None).is_err());
+        // Bin indices are stored as `u8`: 256 bins is the most a feature
+        // may have.
+        let too_many_bins = GbdtParams {
+            num_classes: 3,
+            max_bins: 257,
+            ..Default::default()
+        };
+        assert!(matches!(
+            GradientBoostedTrees::train(&too_many_bins, &train, None),
+            Err(GbdtError::InvalidParams(_))
+        ));
+        let most_bins = GbdtParams {
+            num_classes: 3,
+            num_trees: 2,
+            max_bins: 256,
+            ..Default::default()
+        };
+        assert!(GradientBoostedTrees::train(&most_bins, &train, None).is_ok());
     }
 
     #[test]

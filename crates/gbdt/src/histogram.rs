@@ -1,14 +1,16 @@
-//! The histogram engine: column-major binned features, pooled gradient
-//! histograms, and the LightGBM-style sibling-subtraction trick.
+//! The histogram engine: row-major `u8` bins, pooled gradient histograms,
+//! and the LightGBM-style sibling-subtraction trick.
 //!
 //! Histogram split finding spends nearly all of its time accumulating
 //! per-bin gradient statistics. This module makes that hot loop fast three
 //! ways:
 //!
-//! * **Column-major bins** ([`BinnedMatrix`]): each feature's bin indices
-//!   for all rows are contiguous, so a per-feature fill walks one `u16`
-//!   column instead of striding `row * num_features + f` across the whole
-//!   row-major matrix.
+//! * **Row-wise fill over `u8` bins** ([`BinnedMatrix`], [`fill_histogram`]):
+//!   a row's bins for every feature are adjacent bytes, so a node's
+//!   histogram fills in one pass over its rows. Each row's gradient, hessian
+//!   and bins are read once and added to that row's bin in every feature
+//!   (LightGBM's row-wise mode). A node's rows arrive in shuffled sample
+//!   order, so a per-feature pass would read its column at random anyway.
 //! * **Buffer pooling** ([`HistogramPool`]): per-node histograms are
 //!   recycled across nodes, so a depth-6 tree allocates a handful of
 //!   buffers instead of one per feature per node.
@@ -20,44 +22,45 @@
 //!
 //! # Determinism
 //!
-//! Every fill walks its rows in partition order and every feature column is
-//! filled by exactly one task, so the accumulated floats are bit-identical
-//! for any thread count ([`fill_histogram`] reduces per-feature results in
-//! feature order). Subtraction is a fixed bin-order pass on the calling
-//! thread, so a fit is fully deterministic. It differs from rebuilding every
-//! node's histogram from its rows (the pre-engine algorithm) by float
-//! rounding only, because subtraction changes the accumulation order.
+//! Every bin adds up the node's rows in partition order, whichever thread
+//! fills it, so the accumulated floats are bit-identical for any thread
+//! count ([`fill_histogram`] gives each thread a contiguous block of
+//! features and copies the blocks back in feature order). Subtraction is a
+//! fixed bin-order pass on the calling thread, so a fit is fully
+//! deterministic. It differs from rebuilding every node's histogram from its
+//! rows (the pre-engine algorithm) by float rounding only, because
+//! subtraction changes the accumulation order.
 
 use crate::binning::BinMapper;
 use crate::dataset::Dataset;
 use byom_exec::prelude::*;
+use std::ops::Range;
 
-/// Column-major matrix of per-feature bin indices.
+/// Row-major matrix of per-feature bin indices, one byte each.
 ///
-/// Produced by [`BinMapper::bin_dataset`]; feature `f`'s bins for all rows
-/// are the contiguous slice [`BinnedMatrix::column`]`(f)`.
+/// Produced by [`BinMapper::bin_dataset`]. A [`BinMapper`] gives each
+/// feature at most 256 bins, so every bin index fits in a `u8`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMatrix {
-    /// Column-major storage: row `i` of feature `f` is `bins[f * num_rows + i]`.
-    bins: Vec<u16>,
+    /// Row-major storage: feature `f` of row `i` is `bins[i * num_features + f]`.
+    bins: Vec<u8>,
     num_rows: usize,
     num_features: usize,
 }
 
 impl BinnedMatrix {
-    /// Bin a whole dataset through `mapper` into column-major storage.
+    /// Bin a whole dataset through `mapper` into row-major storage.
     pub fn from_dataset(mapper: &BinMapper, data: &Dataset) -> Self {
-        let n = data.len();
-        let mut bins = vec![0u16; n * data.num_features()];
-        for (f, column) in bins.chunks_exact_mut(n.max(1)).enumerate() {
-            for (i, slot) in column.iter_mut().enumerate() {
-                *slot = mapper.bin(f, data.value(i, f)) as u16;
-            }
+        let num_features = data.num_features();
+        let mut bins = Vec::with_capacity(data.len() * num_features);
+        for i in 0..data.len() {
+            // `BinMapper::fit` caps `max_bins` at 256, so the cast is exact.
+            bins.extend((0..num_features).map(|f| mapper.bin(f, data.value(i, f)) as u8));
         }
         BinnedMatrix {
             bins,
-            num_rows: n,
-            num_features: data.num_features(),
+            num_rows: data.len(),
+            num_features,
         }
     }
 
@@ -71,18 +74,24 @@ impl BinnedMatrix {
         self.num_features
     }
 
-    /// Feature `f`'s bin indices for all rows, contiguous. Out-of-range
-    /// features yield an empty slice.
-    pub fn column(&self, f: usize) -> &[u16] {
-        let start = f.saturating_mul(self.num_rows);
+    /// Row `i`'s bin indices for every feature, contiguous. An out-of-range
+    /// row yields an empty slice.
+    fn row(&self, i: usize) -> &[u8] {
+        let start = i.saturating_mul(self.num_features);
         self.bins
-            .get(start..start.saturating_add(self.num_rows))
+            .get(start..start.saturating_add(self.num_features))
             .unwrap_or(&[])
     }
 
     /// Bin index of row `i`, feature `f` (`0` when out of range).
-    pub fn bin(&self, i: usize, f: usize) -> u16 {
-        self.column(f).get(i).copied().unwrap_or(0)
+    pub fn bin(&self, i: usize, f: usize) -> u8 {
+        if f >= self.num_features {
+            return 0;
+        }
+        i.checked_mul(self.num_features)
+            .and_then(|start| self.bins.get(start + f))
+            .copied()
+            .unwrap_or(0)
     }
 }
 
@@ -133,11 +142,6 @@ impl FeatureLayout {
         let start = self.offsets.get(f).copied().unwrap_or(0);
         let end = self.offsets.get(f + 1).copied().unwrap_or(start);
         start..end
-    }
-
-    /// Number of bins of feature `f`.
-    pub fn num_bins(&self, f: usize) -> usize {
-        self.feature_range(f).len()
     }
 }
 
@@ -196,32 +200,49 @@ impl HistogramPool {
     }
 }
 
-/// Accumulate `rows` of one feature column into `out` (one slot per bin),
-/// walking rows in the order given so the float accumulation order is fixed.
-fn fill_column(out: &mut [HistBin], column: &[u16], grad: &[f64], hess: &[f64], rows: &[usize]) {
+/// Add the gradient statistics of `rows` to the bins of the contiguous
+/// feature block `features`, walking rows in the order given so every bin's
+/// float accumulation order is fixed. `offsets[j]` is where feature
+/// `features.start + j` starts in `out` (entries past the block are
+/// ignored).
+fn fill_rows(
+    out: &mut [HistBin],
+    offsets: &[usize],
+    features: Range<usize>,
+    binned: &BinnedMatrix,
+    grad: &[f64],
+    hess: &[f64],
+    rows: &[usize],
+) {
     for &i in rows {
-        let b = column.get(i).copied().unwrap_or(0) as usize;
-        if let (Some(slot), Some(&g), Some(&h)) = (out.get_mut(b), grad.get(i), hess.get(i)) {
-            slot.grad += g;
-            slot.hess += h;
-            slot.count += 1;
+        let (Some(&g), Some(&h)) = (grad.get(i), hess.get(i)) else {
+            continue;
+        };
+        let bins = binned.row(i).get(features.clone()).unwrap_or(&[]);
+        for (&b, &offset) in bins.iter().zip(offsets) {
+            if let Some(slot) = out.get_mut(offset + usize::from(b)) {
+                slot.grad += g;
+                slot.hess += h;
+                slot.count += 1;
+            }
         }
     }
 }
 
-/// Below this many rows the per-feature fill runs sequentially even when
-/// parallelism is enabled: the histogram work is too small to amortize the
-/// cost of fanning out across threads (deep nodes dominate the node count
-/// but not the runtime).
+/// Below this many rows the fill runs sequentially even when parallelism is
+/// enabled: the histogram work is too small to amortize the cost of fanning
+/// out across threads (deep nodes dominate the node count but not the
+/// runtime).
 pub const PARALLEL_FILL_MIN_ROWS: usize = 512;
 
 /// Fill the flat histogram `hist` (shaped by `layout`) with the gradient
-/// statistics of `rows`, one contiguous [`BinnedMatrix`] column per feature.
+/// statistics of `rows`, in one pass over the rows of the [`BinnedMatrix`].
 ///
-/// With `parallelism > 1` and enough rows, feature columns fan out through
-/// `byom_exec`; each column is still filled in row order by
-/// exactly one task and the per-feature results are written back in feature
-/// order, so the result is **bit-identical** to the sequential fill.
+/// With `parallelism > 1` and enough rows, the features are split into one
+/// contiguous block per thread; each thread fills its block row by row into
+/// a buffer of its own, and the blocks are copied back in feature order.
+/// Every bin still adds up `rows` in the order given, so the result is
+/// **bit-identical** to the sequential fill.
 pub fn fill_histogram(
     hist: &mut [HistBin],
     layout: &FeatureLayout,
@@ -233,28 +254,45 @@ pub fn fill_histogram(
 ) {
     let num_features = layout.num_features();
     if parallelism > 1 && rows.len() >= PARALLEL_FILL_MIN_ROWS && num_features > 1 {
-        let columns: Vec<Vec<HistBin>> = (0..num_features)
+        let width = parallelism.min(num_features);
+        let blocks: Vec<Vec<HistBin>> = (0..width)
             .into_par_iter()
             .with_max_threads(parallelism)
-            .map(|f| {
-                let mut out = vec![HistBin::default(); layout.num_bins(f)];
-                fill_column(&mut out, binned.column(f), grad, hess, rows);
+            .map(|p| {
+                let features = p * num_features / width..(p + 1) * num_features / width;
+                // The block's feature offsets, rebased to its own buffer; the
+                // last entry is the block's bin count.
+                let bounds = layout
+                    .offsets
+                    .get(features.start..=features.end)
+                    .unwrap_or(&[]);
+                let base = bounds.first().copied().unwrap_or(0);
+                let offsets: Vec<usize> = bounds.iter().map(|&o| o - base).collect();
+                let mut out = vec![HistBin::default(); offsets.last().copied().unwrap_or(0)];
+                fill_rows(&mut out, &offsets, features, binned, grad, hess, rows);
                 out
             })
             .collect();
-        // Reduce in feature order: copying preserves every bit, so the
+        // Copy back in feature order: copying preserves every bit, so the
         // buffer contents match the sequential branch exactly.
-        for (f, column) in columns.into_iter().enumerate() {
-            if let Some(slice) = hist.get_mut(layout.feature_range(f)) {
-                slice.copy_from_slice(&column);
+        let mut start = 0;
+        for block in blocks {
+            let end = start + block.len();
+            if let Some(slice) = hist.get_mut(start..end) {
+                slice.copy_from_slice(&block);
             }
+            start = end;
         }
     } else {
-        for f in 0..num_features {
-            if let Some(slice) = hist.get_mut(layout.feature_range(f)) {
-                fill_column(slice, binned.column(f), grad, hess, rows);
-            }
-        }
+        fill_rows(
+            hist,
+            &layout.offsets,
+            0..num_features,
+            binned,
+            grad,
+            hess,
+            rows,
+        );
     }
 }
 
@@ -282,23 +320,23 @@ mod tests {
     }
 
     #[test]
-    fn binned_matrix_is_column_major_and_matches_mapper() {
+    fn binned_matrix_is_row_major_and_matches_mapper() {
         let d = dataset();
         let m = BinMapper::fit(&d, 8);
         let binned = m.bin_dataset(&d);
         assert_eq!(binned.num_rows(), 40);
         assert_eq!(binned.num_features(), 3);
-        for f in 0..3 {
-            let col = binned.column(f);
-            assert_eq!(col.len(), 40);
-            for (i, &b) in col.iter().enumerate() {
-                assert_eq!(b as usize, m.bin(f, d.value(i, f)));
-                assert_eq!(binned.bin(i, f), b);
+        for i in 0..40 {
+            assert_eq!(binned.row(i).len(), 3);
+            for f in 0..3 {
+                assert_eq!(usize::from(binned.bin(i, f)), m.bin(f, d.value(i, f)));
+                assert_eq!(binned.row(i)[f], binned.bin(i, f));
             }
         }
         // Out-of-range accesses are graceful.
-        assert!(binned.column(3).is_empty());
+        assert!(binned.row(40).is_empty());
         assert_eq!(binned.bin(99, 0), 0);
+        assert_eq!(binned.bin(0, 3), 0);
     }
 
     #[test]
@@ -312,7 +350,6 @@ mod tests {
             let r = layout.feature_range(f);
             assert_eq!(r.start, covered);
             assert_eq!(r.len(), m.num_bins(f));
-            assert_eq!(layout.num_bins(f), m.num_bins(f));
             covered = r.end;
         }
         assert_eq!(covered, layout.total_bins());
@@ -334,25 +371,81 @@ mod tests {
         assert!(c.iter().all(|b| b == &HistBin::default()), "zeroed");
     }
 
+    /// The per-feature fill the row-wise engine replaced: one pass over
+    /// `rows` per feature, in feature order.
+    fn per_feature_fill(
+        layout: &FeatureLayout,
+        binned: &BinnedMatrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+    ) -> Vec<HistBin> {
+        let mut out = vec![HistBin::default(); layout.total_bins()];
+        for f in 0..layout.num_features() {
+            let bins = &mut out[layout.feature_range(f)];
+            for &i in rows {
+                let slot = &mut bins[usize::from(binned.bin(i, f))];
+                slot.grad += grad[i];
+                slot.hess += hess[i];
+                slot.count += 1;
+            }
+        }
+        out
+    }
+
+    fn assert_bits_equal(case: &str, got: &[HistBin], want: &[HistBin]) {
+        assert_eq!(got.len(), want.len(), "{case}: bin count");
+        for (b, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.grad.to_bits(), w.grad.to_bits(), "{case}: bin {b} grad");
+            assert_eq!(g.hess.to_bits(), w.hess.to_bits(), "{case}: bin {b} hess");
+            assert_eq!(g.count, w.count, "{case}: bin {b} count");
+        }
+    }
+
     #[test]
     fn parallel_fill_is_bit_identical_to_sequential() {
-        let d = dataset();
-        let m = BinMapper::fit(&d, 8);
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Features with 1, 2, 3, 4 and 5 bins, then two with 64: seven
+        // features split unevenly into three blocks.
+        let n = 300;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                vec![
+                    3.0,
+                    (i % 2) as f64,
+                    (i % 3) as f64,
+                    (i * 7 % 4) as f64,
+                    (i % 5) as f64,
+                    i as f64,
+                    (i as f64 * 0.37).sin(),
+                ]
+            })
+            .collect();
+        let d = Dataset::from_rows(rows, vec![0; n]).unwrap();
+        let m = BinMapper::fit(&d, 64);
+        let bin_counts: Vec<usize> = (0..7).map(|f| m.num_bins(f)).collect();
+        assert_eq!(bin_counts, [1, 2, 3, 4, 5, 64, 64]);
         let binned = m.bin_dataset(&d);
         let layout = FeatureLayout::from_mapper(&m);
-        let grad: Vec<f64> = (0..40).map(|i| (i as f64).sin()).collect();
-        let hess: Vec<f64> = (0..40).map(|i| 1.0 + (i as f64).cos().abs()).collect();
-        let rows: Vec<usize> = (0..40).rev().collect();
-        let mut seq = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut seq, &layout, &binned, &grad, &hess, &rows, 1);
-        // Force the parallel branch by dropping the row gate via many rows?
-        // The gate needs >= PARALLEL_FILL_MIN_ROWS rows; replicate rows.
-        let big_rows: Vec<usize> = rows.iter().cycle().take(1024).copied().collect();
-        let mut seq_big = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut seq_big, &layout, &binned, &grad, &hess, &big_rows, 1);
-        let mut par_big = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut par_big, &layout, &binned, &grad, &hess, &big_rows, 4);
-        assert_eq!(seq_big, par_big);
+        let mut rng = StdRng::seed_from_u64(17);
+        let grad: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let hess: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..1.0)).collect();
+        // Shuffled row indices with repeats, past the parallel row gate.
+        let sample: Vec<usize> = (0..1500).map(|_| rng.gen_range(0..n)).collect();
+        assert!(sample.len() >= PARALLEL_FILL_MIN_ROWS);
+        let reference = per_feature_fill(&layout, &binned, &grad, &hess, &sample);
+        for budget in [1, 2, 3, 8] {
+            let mut hist = vec![HistBin::default(); layout.total_bins()];
+            fill_histogram(&mut hist, &layout, &binned, &grad, &hess, &sample, budget);
+            assert_bits_equal(&format!("budget {budget}"), &hist, &reference);
+        }
+        // Below the row gate every budget takes the sequential branch.
+        let few = &sample[..40];
+        let mut hist = vec![HistBin::default(); layout.total_bins()];
+        fill_histogram(&mut hist, &layout, &binned, &grad, &hess, few, 3);
+        let reference = per_feature_fill(&layout, &binned, &grad, &hess, few);
+        assert_bits_equal("40 rows", &hist, &reference);
     }
 
     #[test]

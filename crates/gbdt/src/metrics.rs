@@ -76,20 +76,26 @@ pub fn binary_auc(scores: &[f64], labels: &[bool]) -> f64 {
     u / (n_pos as f64 * n_neg as f64)
 }
 
-/// Multiclass logarithmic loss. Probabilities are clipped to `[1e-12, 1]`.
+/// Multiclass logarithmic loss over row-major `probabilities`, one row of
+/// `num_classes` per example. Probabilities are clipped to `[1e-12, 1]`.
 ///
 /// # Panics
 /// Panics if shapes are inconsistent or a true label indexes outside its
 /// probability row. Returns 0.0 for empty inputs.
-pub fn log_loss(probabilities: &[Vec<f64>], truth: &[usize]) -> f64 {
-    assert_eq!(probabilities.len(), truth.len(), "length mismatch");
+pub fn log_loss(probabilities: &[f64], num_classes: usize, truth: &[usize]) -> f64 {
+    assert_eq!(
+        probabilities.len(),
+        truth.len() * num_classes,
+        "length mismatch"
+    );
     if truth.is_empty() {
         return 0.0;
     }
+    assert!(num_classes > 0, "num_classes must be positive");
     let mut total = 0.0;
-    for (probs, &t) in probabilities.iter().zip(truth) {
+    for (probs, &t) in probabilities.chunks(num_classes).zip(truth) {
         assert!(t < probs.len(), "label {t} outside probability row");
-        total -= probs[t].max(1e-12).ln();
+        total -= probs.get(t).copied().unwrap_or(1.0).max(1e-12).ln();
     }
     total / truth.len() as f64
 }
@@ -167,12 +173,18 @@ mod tests {
 
     #[test]
     fn log_loss_confident_correct_is_small() {
-        let good = vec![vec![0.99, 0.01], vec![0.01, 0.99]];
-        let bad = vec![vec![0.01, 0.99], vec![0.99, 0.01]];
-        let truth = vec![0, 1];
-        assert!(log_loss(&good, &truth) < 0.05);
-        assert!(log_loss(&bad, &truth) > 2.0);
-        assert_eq!(log_loss(&[], &[]), 0.0);
+        let good = [0.99, 0.01, 0.01, 0.99];
+        let bad = [0.01, 0.99, 0.99, 0.01];
+        let truth = [0, 1];
+        assert!(log_loss(&good, 2, &truth) < 0.05);
+        assert!(log_loss(&bad, 2, &truth) > 2.0);
+        assert_eq!(log_loss(&[], 2, &[]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside probability row")]
+    fn log_loss_rejects_a_label_past_the_row() {
+        let _ = log_loss(&[0.5, 0.5], 2, &[2]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! values use the standard second-order (Newton) estimate `-G / (H + λ)`.
 //!
 //! The histogram hot path runs on the engine in [`crate::histogram`]:
-//! column-major bins, pooled buffers, and the sibling subtraction trick —
-//! see that module for the determinism contract.
+//! row-wise fills over row-major `u8` bins, pooled buffers, and the sibling
+//! subtraction trick — see that module for the determinism contract.
 
 use crate::binning::BinMapper;
 use crate::histogram::{
@@ -88,8 +88,8 @@ struct FitContext<'a> {
     grad: &'a [f64],
     hess: &'a [f64],
     params: TreeParams,
-    /// Worker threads for the per-node column-parallel histogram fill
-    /// (the ambient budget at the start of the fit; 1 = sequential).
+    /// Worker threads for the per-node histogram fill (the ambient budget
+    /// at the start of the fit; 1 = sequential).
     parallelism: usize,
 }
 
@@ -103,17 +103,18 @@ impl Tree {
     /// Fit a tree to the gradient/hessian statistics of the rows listed in
     /// `rows`.
     ///
-    /// * `binned` is the column-major bin matrix produced by
+    /// * `binned` is the row-major bin matrix produced by
     ///   [`BinMapper::bin_dataset`].
     /// * `grad`/`hess` are per-row first/second order derivatives of the loss.
     ///
-    /// Large nodes fill their per-feature histograms column-parallel under
-    /// the ambient `byom_exec` thread budget (`byom_exec::install(1, ..)`
-    /// makes the fit strictly sequential). The result is **bit-identical**
-    /// for any budget: each feature column is filled in row order by exactly
-    /// one task and the per-feature histograms are reduced in feature order,
-    /// so no float accumulation order depends on the thread count or
-    /// schedule.
+    /// Large nodes fill their histograms in parallel under the ambient
+    /// `byom_exec` thread budget, each thread taking a contiguous block of
+    /// features (`byom_exec::install(1, ..)` makes the fit strictly
+    /// sequential). The split search itself is sequential. The result is
+    /// **bit-identical** for any budget: every histogram bin adds up the
+    /// node's rows in partition order whichever thread fills it, and the
+    /// blocks are copied back in feature order, so no float accumulation
+    /// order depends on the thread count or schedule.
     ///
     /// # Panics
     /// Panics if `rows` is empty or the inputs disagree on the number of rows.
@@ -129,9 +130,10 @@ impl Tree {
     }
 
     /// Like [`Tree::fit`], but additionally returning the fitted leaf value
-    /// of **every** row of `binned` (not just `rows`), harvested by threading
-    /// a second index partition through the same splits the fit performs.
-    /// See [`ScoredFit`].
+    /// of **every** row of `binned` (not just `rows`). The rows of `rows`
+    /// take their leaf from the partition the fit computes anyway; the rows
+    /// outside it are carried through the same splits in a second index
+    /// partition. See [`ScoredFit`].
     ///
     /// # Panics
     /// Panics if `rows` is empty or the inputs disagree on the number of rows.
@@ -153,7 +155,7 @@ impl Tree {
         hess: &[f64],
         rows: &[usize],
         params: TreeParams,
-        track_all_rows: bool,
+        score_all_rows: bool,
     ) -> ScoredFit {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
         assert_eq!(grad.len(), hess.len(), "grad and hess must be parallel");
@@ -175,11 +177,21 @@ impl Tree {
         };
         let mut tree = Tree { nodes: Vec::new() };
         let mut rows_owned: Vec<usize> = rows.to_vec();
-        let (mut tracked, mut row_values) = if track_all_rows {
-            (
-                (0..binned.num_rows()).collect(),
-                vec![0.0; binned.num_rows()],
-            )
+        // Only the rows outside the sample need a partition of their own:
+        // the sampled rows' leaves follow from `rows_owned`.
+        let (mut tracked, mut row_values) = if score_all_rows {
+            let mut in_sample = vec![false; binned.num_rows()];
+            for &i in rows {
+                if let Some(flag) = in_sample.get_mut(i) {
+                    *flag = true;
+                }
+            }
+            let out_of_sample = in_sample
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &sampled)| (!sampled).then_some(i))
+                .collect();
+            (out_of_sample, vec![0.0; binned.num_rows()])
         } else {
             (Vec::new(), Vec::new())
         };
@@ -200,8 +212,8 @@ impl Tree {
     /// `hist` is this node's histogram when the parent already produced it;
     /// `None` means "build from `rows` if a split will actually be
     /// searched" (only the root builds its own). `tracked` carries the
-    /// full-training-set row partition for [`Tree::fit_scored`] (empty when
-    /// not tracking).
+    /// partition of the rows outside the sample for [`Tree::fit_scored`]
+    /// (empty when not scoring, or when every row is in the sample).
     #[allow(clippy::too_many_arguments)]
     fn build_node(
         &mut self,
@@ -232,7 +244,7 @@ impl Tree {
         });
 
         if depth >= ctx.params.max_depth || rows.len() < 2 * ctx.params.min_samples_leaf {
-            Self::record_leaf(tracked, leaf_value, row_values);
+            Self::record_leaf(rows, tracked, leaf_value, row_values);
             if let Some(h) = hist {
                 pool.release(h);
             }
@@ -240,7 +252,7 @@ impl Tree {
         }
 
         // This node's histogram: handed down by the parent, or built from
-        // this node's rows (column-parallel for large nodes).
+        // this node's rows (feature blocks in parallel for large nodes).
         let mut hist = match hist {
             Some(h) => h,
             None => {
@@ -259,7 +271,7 @@ impl Tree {
         };
 
         let Some(best) = Self::best_split(ctx, &hist, rows.len(), g_sum, h_sum) else {
-            Self::record_leaf(tracked, leaf_value, row_values);
+            Self::record_leaf(rows, tracked, leaf_value, row_values);
             pool.release(hist);
             return node_idx;
         };
@@ -268,18 +280,17 @@ impl Tree {
         // permutation is part of the determinism contract (row order feeds
         // the children's float accumulations), so this stays a swap loop.
         let threshold = ctx.mapper.edge(best.feature, best.bin);
-        let column = ctx.binned.column(best.feature);
-        let split_point = Self::partition(rows, column, best.bin);
+        let split_point = Self::partition(rows, ctx.binned, best.feature, best.bin);
         if split_point == 0
             || split_point == rows.len()
             || split_point < ctx.params.min_samples_leaf
             || rows.len() - split_point < ctx.params.min_samples_leaf
         {
-            Self::record_leaf(tracked, leaf_value, row_values);
+            Self::record_leaf(rows, tracked, leaf_value, row_values);
             pool.release(hist);
             return node_idx;
         }
-        let tracked_split = Self::partition(tracked, column, best.bin);
+        let tracked_split = Self::partition(tracked, ctx.binned, best.feature, best.bin);
 
         let (left_rows, right_rows) = rows.split_at_mut(split_point);
         let (left_tracked, right_tracked) = tracked.split_at_mut(tracked_split);
@@ -363,16 +374,20 @@ impl Tree {
         depth < ctx.params.max_depth && num_rows >= 2 * ctx.params.min_samples_leaf
     }
 
-    /// Swap-partition `rows` so indices whose bin in `column` is
+    /// Swap-partition `rows` so indices whose bin of `feature` is
     /// `<= split_bin` come first; returns the split point. The swap
     /// permutation is deterministic and shared by the sample and tracked
     /// partitions.
-    fn partition(rows: &mut [usize], column: &[u16], split_bin: usize) -> usize {
+    fn partition(
+        rows: &mut [usize],
+        binned: &BinnedMatrix,
+        feature: usize,
+        split_bin: usize,
+    ) -> usize {
         let mut split_point = 0;
         for i in 0..rows.len() {
             let row = rows.get(i).copied().unwrap_or(0);
-            let bin = column.get(row).copied().unwrap_or(0) as usize;
-            if bin <= split_bin {
+            if usize::from(binned.bin(row, feature)) <= split_bin {
                 rows.swap(i, split_point);
                 split_point += 1;
             }
@@ -380,9 +395,13 @@ impl Tree {
         split_point
     }
 
-    /// Record `value` as the fitted leaf value of every tracked row.
-    fn record_leaf(tracked: &[usize], value: f64, row_values: &mut [f64]) {
-        for &i in tracked {
+    /// Record `value` as the fitted leaf value of the leaf's sampled and
+    /// tracked rows (a no-op unless [`Tree::fit_scored`] is scoring).
+    fn record_leaf(rows: &[usize], tracked: &[usize], value: f64, row_values: &mut [f64]) {
+        if row_values.is_empty() {
+            return;
+        }
+        for &i in rows.iter().chain(tracked) {
             if let Some(slot) = row_values.get_mut(i) {
                 *slot = value;
             }
@@ -505,6 +524,9 @@ impl Tree {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     /// Fit a tree to a regression target using squared loss (hess = 1).
     fn fit_regression(xs: Vec<Vec<f64>>, ys: Vec<f64>, params: TreeParams) -> (Tree, Dataset) {
@@ -632,23 +654,37 @@ mod tests {
         let binned = mapper.bin_dataset(&data);
         let grad: Vec<f64> = ys.iter().map(|y| -y).collect();
         let hess = vec![1.0; ys.len()];
-        // Fit on a strict subsample; scores must still cover every row.
-        let sample: Vec<usize> = (0..200).filter(|i| i % 3 != 0).collect();
-        let fit = Tree::fit_scored(
-            &binned,
-            &mapper,
-            &grad,
-            &hess,
-            &sample,
-            TreeParams::default(),
-        );
-        assert_eq!(fit.row_values.len(), 200);
-        for i in 0..200 {
-            assert_eq!(
-                fit.row_values[i],
-                fit.tree.predict_row(data.row(i)),
-                "row {i} diverged from the tree walk"
+        // A strict subsample in index order, every row (nothing is out of
+        // sample), and a shuffled strict subsample as boosting draws it.
+        let mut shuffled: Vec<usize> = (0..200).collect();
+        shuffled.shuffle(&mut StdRng::seed_from_u64(5));
+        shuffled.truncate(160);
+        let samples = [
+            (0..200).filter(|i| i % 3 != 0).collect(),
+            (0..200).collect(),
+            shuffled,
+        ];
+        for (case, sample) in samples.iter().enumerate() {
+            let fit = Tree::fit_scored(
+                &binned,
+                &mapper,
+                &grad,
+                &hess,
+                sample,
+                TreeParams::default(),
             );
+            assert!(
+                fit.tree.num_nodes() > 1,
+                "case {case}: the tree never split"
+            );
+            assert_eq!(fit.row_values.len(), 200);
+            for i in 0..200 {
+                assert_eq!(
+                    fit.row_values[i].to_bits(),
+                    fit.tree.predict_row(data.row(i)).to_bits(),
+                    "case {case}: row {i} diverged from the tree walk"
+                );
+            }
         }
     }
 

@@ -11,8 +11,8 @@ use byom_gbdt::Tree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A synthetic multi-class dataset large enough to cross the parallel split
-/// search's row threshold at the root.
+/// A synthetic multi-class dataset large enough to cross the parallel
+/// histogram fill's row threshold at the root.
 fn synthetic_dataset(n: usize, num_features: usize, k: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rows = Vec::with_capacity(n);
@@ -72,7 +72,8 @@ fn tree_fit_is_identical_for_any_parallelism() {
     let params = byom_gbdt::TreeParams::default();
     let fit = || Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
     let sequential = byom::exec::install(1, fit);
-    for threads in [2, 4, 0] {
+    // 3 splits the 8 features into uneven blocks.
+    for threads in [2, 3, 4, 0] {
         let parallel = byom::exec::install(threads, fit);
         assert_eq!(
             sequential, parallel,
@@ -103,9 +104,9 @@ fn subtraction_mode_is_bit_identical_across_thread_counts_and_runs() {
     let params = byom_gbdt::TreeParams::default();
     let fit = || Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
     let reference = byom::exec::install(1, fit);
-    for threads in [1, 2, 8] {
+    for threads in [1, 2, 3, 8] {
         // Repeated runs at each thread count: which thread fills which
-        // column varies from run to run, the fitted tree must not.
+        // feature block varies from run to run, the fitted tree must not.
         for run in 0..3 {
             let tree = byom::exec::install(threads, fit);
             assert_eq!(
