@@ -7,7 +7,9 @@
 
 use byom_bench::report::f2;
 use byom_bench::{ExperimentContext, Table};
-use byom_core::{AdaptivePolicy, CategoryLabeler, CategoryModel, CategoryModelConfig};
+use byom_core::{
+    AdaptiveConfig, AdaptivePolicy, CategoryLabeler, CategoryModel, CategoryModelConfig,
+};
 use byom_cost::JobCost;
 use byom_gbdt::GbdtParams;
 
@@ -100,7 +102,7 @@ fn main() {
         let savings = ctx
             .run_policy(
                 quota,
-                &mut AdaptivePolicy::new(model, *ctx.trained.adaptive_config()),
+                &mut AdaptivePolicy::new(model, AdaptiveConfig::default()),
             )
             .tco_savings_percent();
         table.row(&[

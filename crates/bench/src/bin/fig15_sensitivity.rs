@@ -28,7 +28,6 @@ fn main() {
             for &tw in &windows {
                 for &tl in &intervals {
                     let config = AdaptiveConfig {
-                        num_categories: ctx.params.num_categories,
                         lookback_window_secs: tw,
                         decision_interval_secs: tl,
                         spillover_tolerance: (lo, hi),
@@ -63,7 +62,6 @@ fn main() {
             FeedbackSignal::SpilloverBytes,
         ] {
             let config = AdaptiveConfig {
-                num_categories: ctx.params.num_categories,
                 signal,
                 ..AdaptiveConfig::default()
             };

@@ -6,9 +6,7 @@ use byom_exec::prelude::*;
 use byom_policies::{
     CategoryHeuristic, FirstFit, LifetimeMlBaseline, LifetimeModelConfig, OraclePolicy,
 };
-use byom_sim::{
-    application_runtime_savings_percent, PlacementPolicy, SimConfig, SimulationResult, Simulator,
-};
+use byom_sim::{PlacementPolicy, SimConfig, SimulationResult, Simulator};
 use byom_solver::{Oracle, OracleObjective};
 use byom_trace::{ClusterSpec, JobId, Trace, TraceGenerator};
 
@@ -81,8 +79,6 @@ pub struct MethodResult {
     pub tco_savings_percent: f64,
     /// TCIO savings percent relative to all-on-HDD.
     pub tcio_savings_percent: f64,
-    /// Application run-time savings percent (Appendix C.1.2 model).
-    pub runtime_savings_percent: f64,
 }
 
 impl ExperimentContext {
@@ -218,7 +214,6 @@ impl ExperimentContext {
             method: result.policy_name.clone(),
             tco_savings_percent: result.tco_savings_percent(),
             tcio_savings_percent: result.tcio_savings_percent(),
-            runtime_savings_percent: application_runtime_savings_percent(&result),
         }
     }
 }

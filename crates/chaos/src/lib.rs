@@ -20,9 +20,9 @@
 //!   duplicates, metadata corruption, blanked feature columns).
 //! * [`FaultyCategorizer`] — wraps any [`byom_core::Categorizer`] with
 //!   prediction blackouts and confidence-calibrated label flips. During a
-//!   blackout its `categorize` falls back to category 0 (the "no fallback"
-//!   ablation) and its `try_categorize` returns `None`, which the ladder
-//!   detects and degrades around.
+//!   blackout its `categorize` returns `None`: the ladder detects that and
+//!   degrades around it, while the plain adaptive policy (the "no fallback"
+//!   ablation) reads it as category 0.
 //! * [`FaultyDevice`] — a [`byom_sim::DeviceModel`] injecting SSD capacity
 //!   step-downs/recoveries and transient admission failures with a
 //!   deterministic retry-after window.
@@ -47,11 +47,8 @@ pub mod run;
 pub use device::FaultyDevice;
 pub use inject::{apply_trace_faults, TraceFaultCounts};
 pub use model::FaultyCategorizer;
-pub use plan::{
-    BlackoutWindow, CapacityStep, DeviceFaults, FaultPlan, InvalidFaultPlan, ModelFaults,
-    TraceFaults,
-};
-pub use run::{attach_twin_delta, run_ladder, run_ladder_with, run_no_fallback, run_unfaulted};
+pub use plan::{BlackoutWindow, CapacityStep, DeviceFaults, FaultPlan, ModelFaults, TraceFaults};
+pub use run::{attach_twin_delta, run_ladder, run_no_fallback, run_unfaulted};
 
 /// Mix a plan seed, a job id, and a fault-surface salt into an RNG seed.
 ///

@@ -10,15 +10,12 @@ use std::cell::Cell;
 
 /// Wraps a categorizer with model faults.
 ///
-/// The wrapper's two [`Categorizer`] methods give a blackout deliberately
-/// different meanings:
-///
-/// * [`Categorizer::try_categorize`] — blackout ⇒ `None`. This is what the
-///   degradation ladder consumes: it *sees* the outage and falls back.
-/// * [`Categorizer::categorize`] — blackout ⇒ category 0 (the "loses money
-///   on SSD" category). This is the **no-fallback ablation**: a plain
-///   adaptive policy keeps trusting the wedged prediction service and sends
-///   everything to HDD for the duration.
+/// During a blackout [`Categorizer::categorize`] answers `None`. The wrapper
+/// only reports the outage; the policy consuming it decides what it means.
+/// The degradation ladder counts it as a failure of its model rung and falls
+/// back. A plain [`AdaptivePolicy`](byom_core::AdaptivePolicy), the
+/// **no-fallback ablation**, reads it as category 0 (the "loses money on
+/// SSD" category) and sends everything to HDD for the duration.
 ///
 /// Label flips are calibrated by the wrapped model's confidence: a flip
 /// fires with probability `rate × (1.5 − confidence)` (clamped to `[0, 1]`),
@@ -74,12 +71,12 @@ impl<C: Categorizer> FaultyCategorizer<C> {
     /// flip rate this is exactly `inner.categorize(job)` — no RNG is built
     /// and no extra float path runs, so zero-fault runs are bit-identical to
     /// unwrapped ones.
-    fn predicted(&self, job: &ShuffleJob) -> usize {
+    fn predicted(&self, job: &ShuffleJob) -> Option<usize> {
         let rate = self.faults.label_flip_rate;
         if rate <= 0.0 {
             return self.inner.categorize(job);
         }
-        let (category, confidence) = self.inner.categorize_with_confidence(job);
+        let (category, confidence) = self.inner.categorize_with_confidence(job)?;
         let p = (rate * (1.5 - confidence)).clamp(0.0, 1.0);
         let mut rng = StdRng::seed_from_u64(mix(self.seed, job.id.0, salt::MODEL));
         if p > 0.0 && rng.gen_bool(p) {
@@ -96,10 +93,10 @@ impl<C: Categorizer> FaultyCategorizer<C> {
             };
             if flipped != category {
                 self.flips.set(self.flips.get() + 1);
-                return flipped;
+                return Some(flipped);
             }
         }
-        category
+        Some(category)
     }
 }
 
@@ -108,23 +105,12 @@ impl<C: Categorizer> Categorizer for FaultyCategorizer<C> {
         self.inner.name()
     }
 
-    fn categorize(&self, job: &ShuffleJob) -> usize {
-        if self.in_blackout(job.arrival) {
-            self.blackouts.set(self.blackouts.get() + 1);
-            // No-fallback semantics: a wedged service reports the bottom
-            // category, so the adaptive policy stops admitting to SSD.
-            0
-        } else {
-            self.predicted(job)
-        }
-    }
-
-    fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
+    fn categorize(&self, job: &ShuffleJob) -> Option<usize> {
         if self.in_blackout(job.arrival) {
             self.blackouts.set(self.blackouts.get() + 1);
             None
         } else {
-            Some(self.predicted(job))
+            self.predicted(job)
         }
     }
 
@@ -160,7 +146,6 @@ mod tests {
         let faulty = FaultyCategorizer::new(inner, ModelFaults::default(), 42);
         for job in trace().iter() {
             assert_eq!(Categorizer::categorize(&faulty, job), inner.categorize(job));
-            assert_eq!(faulty.try_categorize(job), Some(inner.categorize(job)));
         }
         assert_eq!(faulty.blackouts(), 0);
         assert_eq!(faulty.labels_flipped(), 0);
@@ -169,17 +154,16 @@ mod tests {
     }
 
     #[test]
-    fn blackout_splits_the_two_methods() {
+    fn blackout_answers_none_and_counts_every_call() {
         let faulty = FaultyCategorizer::new(HashCategorizer::new(8), blackout(0.0, 1e12), 42);
         let t = trace();
+        for (calls, job) in t.iter().take(5).enumerate() {
+            assert_eq!(Categorizer::categorize(&faulty, job), None);
+            assert_eq!(faulty.blackouts(), calls as u64 + 1, "one count per call");
+        }
         let job = t.iter().next().unwrap();
-        assert_eq!(faulty.try_categorize(job), None, "ladder sees the outage");
-        assert_eq!(
-            Categorizer::categorize(&faulty, job),
-            0,
-            "no-fallback ablation trusts the wedged service"
-        );
-        assert_eq!(faulty.blackouts(), 2, "both calls counted");
+        assert_eq!(faulty.categorize_with_confidence(job), None);
+        assert_eq!(faulty.blackouts(), 6);
     }
 
     #[test]
@@ -202,8 +186,8 @@ mod tests {
         let t = trace();
         let mut flipped = 0usize;
         for job in t.iter() {
-            let clean = inner.categorize(job);
-            let noisy = Categorizer::categorize(&faulty, job);
+            let clean = inner.categorize(job).expect("hash always predicts");
+            let noisy = Categorizer::categorize(&faulty, job).expect("no blackout");
             if noisy != clean {
                 flipped += 1;
                 assert_eq!(

@@ -111,43 +111,6 @@ pub struct FaultPlan {
     pub device: DeviceFaults,
 }
 
-/// A fault plan failed validation: some knob is outside its legal range.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InvalidFaultPlan {
-    /// The offending field, dotted from the plan root.
-    pub field: &'static str,
-    /// The offending value.
-    pub value: f64,
-}
-
-impl std::fmt::Display for InvalidFaultPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "fault plan field `{}` out of range: {}",
-            self.field, self.value
-        )
-    }
-}
-
-impl std::error::Error for InvalidFaultPlan {}
-
-fn check_probability(field: &'static str, value: f64) -> Result<(), InvalidFaultPlan> {
-    if (0.0..=1.0).contains(&value) {
-        Ok(())
-    } else {
-        Err(InvalidFaultPlan { field, value })
-    }
-}
-
-fn check_non_negative(field: &'static str, value: f64) -> Result<(), InvalidFaultPlan> {
-    if value.is_finite() && value >= 0.0 {
-        Ok(())
-    } else {
-        Err(InvalidFaultPlan { field, value })
-    }
-}
-
 impl FaultPlan {
     /// The zero-fault plan: nothing ever fires. Running under this plan is
     /// bit-identical to running with no plan at all.
@@ -214,49 +177,6 @@ impl FaultPlan {
     pub fn is_fault_free(&self) -> bool {
         self.trace.is_fault_free() && self.model.is_fault_free() && self.device.is_fault_free()
     }
-
-    /// Check every knob is within its legal range.
-    ///
-    /// # Errors
-    /// Returns the first out-of-range field found.
-    pub fn validate(&self) -> Result<(), InvalidFaultPlan> {
-        check_probability("trace.drop_probability", self.trace.drop_probability)?;
-        check_probability(
-            "trace.duplicate_probability",
-            self.trace.duplicate_probability,
-        )?;
-        check_probability("trace.corrupt_probability", self.trace.corrupt_probability)?;
-        check_probability(
-            "trace.feature_blank_probability",
-            self.trace.feature_blank_probability,
-        )?;
-        if let Some(w) = &self.model.blackout {
-            check_non_negative("model.blackout.start_secs", w.start_secs)?;
-            check_non_negative("model.blackout.duration_secs", w.duration_secs)?;
-        }
-        check_probability("model.label_flip_rate", self.model.label_flip_rate)?;
-        let mut previous = f64::NEG_INFINITY;
-        for step in &self.device.capacity_steps {
-            check_non_negative("device.capacity_steps.at_secs", step.at_secs)?;
-            check_non_negative("device.capacity_steps.factor", step.factor)?;
-            if step.at_secs < previous {
-                return Err(InvalidFaultPlan {
-                    field: "device.capacity_steps.at_secs (ordering)",
-                    value: step.at_secs,
-                });
-            }
-            previous = step.at_secs;
-        }
-        check_probability(
-            "device.admission_failure_probability",
-            self.device.admission_failure_probability,
-        )?;
-        check_non_negative(
-            "device.admission_retry_after_secs",
-            self.device.admission_retry_after_secs,
-        )?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -264,50 +184,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn none_is_fault_free_and_valid() {
+    fn none_is_fault_free() {
         let plan = FaultPlan::none(42);
         assert!(plan.is_fault_free());
-        assert!(plan.validate().is_ok());
         assert_eq!(plan, FaultPlan::at_intensity(42, 0.0));
     }
 
     #[test]
-    fn intensity_plans_are_valid_and_nested() {
+    fn intensity_plans_are_nested() {
         let lo = FaultPlan::at_intensity(42, 0.25);
         let hi = FaultPlan::at_intensity(42, 1.0);
-        assert!(lo.validate().is_ok());
-        assert!(hi.validate().is_ok());
         assert!(!lo.is_fault_free());
         let (lo_w, hi_w) = (lo.model.blackout.unwrap(), hi.model.blackout.unwrap());
         assert_eq!(lo_w.start_secs, hi_w.start_secs, "windows share a start");
         assert!(lo_w.duration_secs < hi_w.duration_secs, "windows nest");
         assert!(lo.trace.drop_probability < hi.trace.drop_probability);
-        assert!(
-            FaultPlan::at_intensity(42, 7.0).validate().is_ok(),
-            "clamped"
-        );
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_knobs() {
-        let mut plan = FaultPlan::none(1);
-        plan.trace.drop_probability = 1.5;
-        let err = plan.validate().unwrap_err();
-        assert_eq!(err.field, "trace.drop_probability");
-        assert!(err.to_string().contains("out of range"));
-
-        let mut plan = FaultPlan::none(1);
-        plan.device.capacity_steps = vec![
-            CapacityStep {
-                at_secs: 100.0,
-                factor: 0.5,
-            },
-            CapacityStep {
-                at_secs: 50.0,
-                factor: 1.0,
-            },
-        ];
-        assert!(plan.validate().is_err(), "unsorted steps rejected");
+        assert_eq!(FaultPlan::at_intensity(42, 7.0), hi, "clamped");
     }
 
     #[test]

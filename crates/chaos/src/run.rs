@@ -6,7 +6,7 @@ use crate::device::FaultyDevice;
 use crate::inject::{apply_trace_faults, TraceFaultCounts};
 use crate::model::FaultyCategorizer;
 use crate::plan::FaultPlan;
-use byom_core::{AdaptivePolicy, LadderConfig, TrainedByom};
+use byom_core::{AdaptiveConfig, AdaptivePolicy, LadderConfig, LadderPolicy, TrainedByom};
 use byom_sim::{ResilienceReport, SimulationResult, Simulator};
 use byom_trace::Trace;
 
@@ -30,44 +30,24 @@ pub fn run_unfaulted(trained: &TrainedByom, sim: &Simulator, test: &Trace) -> Si
     sim.run(test, &mut trained.adaptive_ranking_policy())
 }
 
-/// Run the degradation ladder (with default ladder settings) under a fault
-/// plan. See [`run_ladder_with`].
+/// Run the degradation ladder, with default ladder settings, under a fault
+/// plan: the trace is perturbed, the trained model is wrapped in a
+/// [`FaultyCategorizer`] (whose blackouts the ladder detects and degrades
+/// around), and the run executes on a [`FaultyDevice`]. All fault counts,
+/// the ladder's rung occupancy, and the device accounting end up in the
+/// result's [`ResilienceReport`].
+///
+/// Under a zero-fault plan the result is byte-identical to
+/// `sim.run(test, &mut trained.ladder_policy())`.
 pub fn run_ladder(
     trained: &TrainedByom,
     sim: &Simulator,
     test: &Trace,
     plan: &FaultPlan,
 ) -> SimulationResult {
-    run_ladder_with(
-        trained,
-        sim,
-        test,
-        plan,
-        LadderConfig {
-            adaptive: *trained.adaptive_config(),
-            ..LadderConfig::default()
-        },
-    )
-}
-
-/// Run the degradation ladder under a fault plan: the trace is perturbed,
-/// the trained model is wrapped in a [`FaultyCategorizer`] (whose blackouts
-/// the ladder detects and degrades around), and the run executes on a
-/// [`FaultyDevice`]. All fault counts, the ladder's rung occupancy, and the
-/// device accounting end up in the result's [`ResilienceReport`].
-///
-/// Under a zero-fault plan the result is byte-identical to
-/// `sim.run(test, &mut trained.ladder_policy())`.
-pub fn run_ladder_with(
-    trained: &TrainedByom,
-    sim: &Simulator,
-    test: &Trace,
-    plan: &FaultPlan,
-    config: LadderConfig,
-) -> SimulationResult {
     let (faulted, trace_counts) = apply_trace_faults(test.clone(), plan);
     let faulty = FaultyCategorizer::new(trained.model().clone(), plan.model, plan.seed);
-    let mut policy = trained.ladder_policy_with(faulty, config);
+    let mut policy = LadderPolicy::new(faulty, LadderConfig::default());
     let mut device = FaultyDevice::new(plan.device.clone(), plan.seed);
     let mut result = sim.run_with_device(&faulted, &mut policy, &mut device);
     merge_counts(
@@ -80,10 +60,10 @@ pub fn run_ladder_with(
 }
 
 /// Run the **no-fallback ablation** under a fault plan: the same faulty
-/// model, trace, and device as [`run_ladder_with`], but behind the plain
-/// adaptive policy, which cannot see blackouts — it keeps consuming the
-/// wedged service's category-0 answers and loses its savings for the
-/// duration. The gap between this run and the ladder run is the value of
+/// model, trace, and device as [`run_ladder`], but behind the plain
+/// adaptive policy, which has no fallback — it reads every missing
+/// prediction as category 0 and loses its savings for the duration of a
+/// blackout. The gap between this run and the ladder run is the value of
 /// graceful degradation.
 ///
 /// Under a zero-fault plan the result is byte-identical to
@@ -96,7 +76,7 @@ pub fn run_no_fallback(
 ) -> SimulationResult {
     let (faulted, trace_counts) = apply_trace_faults(test.clone(), plan);
     let faulty = FaultyCategorizer::new(trained.model().clone(), plan.model, plan.seed);
-    let mut policy = AdaptivePolicy::new(faulty, *trained.adaptive_config());
+    let mut policy = AdaptivePolicy::new(faulty, AdaptiveConfig::default());
     let mut device = FaultyDevice::new(plan.device.clone(), plan.seed);
     let mut result = sim.run_with_device(&faulted, &mut policy, &mut device);
     merge_counts(

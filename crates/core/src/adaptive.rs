@@ -28,11 +28,12 @@ pub enum FeedbackSignal {
     SpilloverBytes,
 }
 
-/// Configuration of the adaptive category selection algorithm.
+/// Configuration of the adaptive category selection algorithm. The
+/// category count N is not part of it: [`AdaptiveSelector::new`] takes N
+/// separately, and an [`AdaptivePolicy`](crate::policy::AdaptivePolicy)
+/// passes its categorizer's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Number of model categories N (ACT stays within `[1, N-1]`).
-    pub num_categories: usize,
     /// Look-back window length `t_w` in seconds (jobs *starting* within the
     /// window are considered, per the paper's design discussion).
     pub lookback_window_secs: f64,
@@ -50,7 +51,6 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            num_categories: 15,
             lookback_window_secs: 900.0,
             decision_interval_secs: 900.0,
             spillover_tolerance: (0.01, 0.15),
@@ -61,16 +61,14 @@ impl Default for AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// Validate the configuration.
+    /// Validate the configuration for a selector over `num_categories`
+    /// categories.
     ///
     /// # Errors
     /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.num_categories < 2 {
-            return Err(format!(
-                "num_categories must be >= 2, got {}",
-                self.num_categories
-            ));
+    pub fn validate(&self, num_categories: usize) -> Result<(), String> {
+        if num_categories < 2 {
+            return Err(format!("num_categories must be >= 2, got {num_categories}"));
         }
         if self.lookback_window_secs <= 0.0 || self.decision_interval_secs <= 0.0 {
             return Err("window and decision interval must be positive".into());
@@ -79,10 +77,10 @@ impl AdaptiveConfig {
         if !(0.0..=1.0).contains(&lo) || !(0.0..=1.0).contains(&hi) || lo > hi {
             return Err(format!("invalid spillover tolerance range [{lo}, {hi}]"));
         }
-        if self.initial_act == 0 || self.initial_act > self.num_categories - 1 {
+        if self.initial_act == 0 || self.initial_act > num_categories - 1 {
             return Err(format!(
                 "initial_act must be in [1, {}], got {}",
-                self.num_categories - 1,
+                num_categories - 1,
                 self.initial_act
             ));
         }
@@ -94,6 +92,7 @@ impl AdaptiveConfig {
 #[derive(Debug, Clone)]
 pub struct AdaptiveSelector {
     config: AdaptiveConfig,
+    num_categories: usize,
     act: usize,
     last_decision_time: Option<f64>,
     /// The observation history `X_h`, in arrival order.
@@ -104,18 +103,20 @@ pub struct AdaptiveSelector {
 }
 
 impl AdaptiveSelector {
-    /// Create a selector with the given configuration.
+    /// Create a selector with the given configuration over `num_categories`
+    /// categories (the ACT stays within `[1, num_categories - 1]`).
     ///
     /// # Panics
     /// Panics if the configuration is invalid; validate it first with
     /// [`AdaptiveConfig::validate`] to handle errors gracefully.
-    pub fn new(config: AdaptiveConfig) -> Self {
-        if let Err(e) = config.validate() {
+    pub fn new(config: AdaptiveConfig, num_categories: usize) -> Self {
+        if let Err(e) = config.validate(num_categories) {
             panic!("invalid adaptive config: {e}");
         }
         AdaptiveSelector {
             act: config.initial_act,
             config,
+            num_categories,
             last_decision_time: None,
             history: VecDeque::new(),
             trace: Vec::new(),
@@ -125,11 +126,6 @@ impl AdaptiveSelector {
     /// The current admission category threshold.
     pub fn act(&self) -> usize {
         self.act
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
     }
 
     /// The recorded `(time, ACT, spillover_percent)` adaptation trace.
@@ -162,9 +158,10 @@ impl AdaptiveSelector {
     ///
     /// Under [`FeedbackSignal::SpilloverTcio`] each SSD-scheduled job in the
     /// window contributes the paper's `SPILLOVER_TCIO(x, t)`: the portion of
-    /// its TCIO not realized because of spillover, evaluated at
-    /// `t = min(now, end)`, so a spilled job that has already ended still
-    /// counts its whole spill.
+    /// its TCIO not realized because of spillover. The simulator detects a
+    /// spill at admission, so a [spilled](JobOutcome::spilled) job counts
+    /// its whole spill once `t = min(now, end)` is past its arrival, and
+    /// still counts it after it has ended.
     pub fn spillover_fraction(&mut self, now: f64) -> f64 {
         let window_start = now - self.config.lookback_window_secs;
         // Remove expired observations (jobs that *started* before the window).
@@ -184,14 +181,8 @@ impl AdaptiveSelector {
             match self.config.signal {
                 FeedbackSignal::SpilloverTcio => {
                     scheduled += o.tcio_hdd;
-                    if let Some(ts) = o.spillover_time {
-                        let t = now.min(o.end);
-                        if t > o.arrival && t >= ts {
-                            let window = (t - o.arrival).max(1e-9);
-                            let spilled_window = (t - ts).max(0.0).min(window);
-                            spilled +=
-                                (spilled_window / window) * (1.0 - o.ssd_fraction) * o.tcio_hdd;
-                        }
+                    if o.spilled() && now.min(o.end) > o.arrival {
+                        spilled += (1.0 - o.ssd_fraction) * o.tcio_hdd;
                     }
                 }
                 FeedbackSignal::SpilloverBytes => {
@@ -215,7 +206,7 @@ impl AdaptiveSelector {
             self.act = self.act.saturating_sub(1).max(1);
         } else if spill > hi {
             // SSD is saturated: admit fewer categories (raise the threshold).
-            self.act = (self.act + 1).min(self.config.num_categories - 1);
+            self.act = (self.act + 1).min(self.num_categories - 1);
         }
         self.trace.push((now, self.act, spill * 100.0));
     }
@@ -226,9 +217,8 @@ mod tests {
     use super::*;
     use byom_trace::JobId;
 
-    fn config(n: usize) -> AdaptiveConfig {
+    fn config() -> AdaptiveConfig {
         AdaptiveConfig {
-            num_categories: n,
             lookback_window_secs: 100.0,
             decision_interval_secs: 10.0,
             spillover_tolerance: (0.05, 0.25),
@@ -244,11 +234,6 @@ mod tests {
             end: arrival + 50.0,
             scheduled,
             ssd_fraction: fraction,
-            spillover_time: if scheduled == Device::Ssd && fraction < 1.0 {
-                Some(arrival)
-            } else {
-                None
-            },
             tcio_hdd: tcio,
             size_bytes: 100,
         }
@@ -256,7 +241,7 @@ mod tests {
 
     #[test]
     fn admits_categories_at_or_above_act() {
-        let mut s = AdaptiveSelector::new(config(5));
+        let mut s = AdaptiveSelector::new(config(), 5);
         assert_eq!(s.act(), 1);
         assert!(s.admit(0.0, 1));
         assert!(s.admit(0.0, 4));
@@ -265,7 +250,7 @@ mod tests {
 
     #[test]
     fn act_rises_under_heavy_spillover() {
-        let mut s = AdaptiveSelector::new(config(5));
+        let mut s = AdaptiveSelector::new(config(), 5);
         // Feed fully-spilled SSD-scheduled jobs.
         for i in 0..10 {
             s.observe(&outcome(i as f64, Device::Ssd, 0.0, 1.0));
@@ -283,10 +268,13 @@ mod tests {
 
     #[test]
     fn act_falls_when_spillover_is_low() {
-        let mut s = AdaptiveSelector::new(AdaptiveConfig {
-            initial_act: 4,
-            ..config(5)
-        });
+        let mut s = AdaptiveSelector::new(
+            AdaptiveConfig {
+                initial_act: 4,
+                ..config()
+            },
+            5,
+        );
         for i in 0..10 {
             s.observe(&outcome(i as f64, Device::Ssd, 1.0, 1.0));
         }
@@ -302,7 +290,7 @@ mod tests {
 
     #[test]
     fn act_stays_within_bounds() {
-        let mut s = AdaptiveSelector::new(config(3));
+        let mut s = AdaptiveSelector::new(config(), 3);
         // Heavy spillover forever: ACT must not exceed N-1 = 2.
         for i in 0..100 {
             s.observe(&outcome(i as f64, Device::Ssd, 0.0, 1.0));
@@ -313,11 +301,14 @@ mod tests {
 
     #[test]
     fn act_unchanged_inside_tolerance_range() {
-        let mut s = AdaptiveSelector::new(AdaptiveConfig {
-            initial_act: 2,
-            spillover_tolerance: (0.05, 0.5),
-            ..config(5)
-        });
+        let mut s = AdaptiveSelector::new(
+            AdaptiveConfig {
+                initial_act: 2,
+                spillover_tolerance: (0.05, 0.5),
+                ..config()
+            },
+            5,
+        );
         // ~25% spillover: inside [5%, 50%].
         for i in 0..8 {
             let fraction = if i % 4 == 0 { 0.0 } else { 1.0 };
@@ -331,7 +322,7 @@ mod tests {
 
     #[test]
     fn decision_interval_limits_update_frequency() {
-        let mut s = AdaptiveSelector::new(config(5));
+        let mut s = AdaptiveSelector::new(config(), 5);
         for i in 0..5 {
             s.observe(&outcome(i as f64, Device::Ssd, 0.0, 1.0));
         }
@@ -347,7 +338,7 @@ mod tests {
 
     #[test]
     fn lookback_window_drops_old_observations() {
-        let mut s = AdaptiveSelector::new(config(5));
+        let mut s = AdaptiveSelector::new(config(), 5);
         // Old, fully-spilled jobs...
         for i in 0..5 {
             s.observe(&outcome(i as f64, Device::Ssd, 0.0, 1.0));
@@ -364,8 +355,22 @@ mod tests {
     }
 
     #[test]
+    fn a_spill_counts_in_full_once_past_its_arrival() {
+        let mut s = AdaptiveSelector::new(config(), 5);
+        s.observe(&outcome(10.0, Device::Ssd, 0.25, 2.0));
+        s.observe(&outcome(10.0, Device::Ssd, 1.0, 2.0));
+        assert_eq!(s.spillover_fraction(10.0), 0.0, "not yet past arrival");
+        assert_eq!(s.spillover_fraction(10.5), 0.375);
+        assert_eq!(
+            s.spillover_fraction(100.0),
+            0.375,
+            "still counted after end"
+        );
+    }
+
+    #[test]
     fn hdd_scheduled_jobs_do_not_affect_spillover() {
-        let mut s = AdaptiveSelector::new(config(5));
+        let mut s = AdaptiveSelector::new(config(), 5);
         for i in 0..5 {
             s.observe(&outcome(i as f64, Device::Hdd, 0.0, 1.0));
         }
@@ -374,10 +379,13 @@ mod tests {
 
     #[test]
     fn byte_signal_ablation_tracks_fractions() {
-        let mut s = AdaptiveSelector::new(AdaptiveConfig {
-            signal: FeedbackSignal::SpilloverBytes,
-            ..config(5)
-        });
+        let mut s = AdaptiveSelector::new(
+            AdaptiveConfig {
+                signal: FeedbackSignal::SpilloverBytes,
+                ..config()
+            },
+            5,
+        );
         s.observe(&outcome(0.0, Device::Ssd, 1.0, 1.0));
         s.observe(&outcome(1.0, Device::Ssd, 0.0, 1.0));
         assert!((s.spillover_fraction(2.0) - 0.5).abs() < 1e-9);
@@ -385,39 +393,37 @@ mod tests {
 
     #[test]
     fn config_validation_catches_errors() {
-        assert!(AdaptiveConfig::default().validate().is_ok());
+        assert!(AdaptiveConfig::default().validate(15).is_ok());
+        assert!(AdaptiveConfig::default().validate(1).is_err());
         assert!(AdaptiveConfig {
-            num_categories: 1,
+            initial_act: 4,
             ..AdaptiveConfig::default()
         }
-        .validate()
+        .validate(4)
         .is_err());
         assert!(AdaptiveConfig {
             spillover_tolerance: (0.5, 0.1),
             ..AdaptiveConfig::default()
         }
-        .validate()
+        .validate(15)
         .is_err());
         assert!(AdaptiveConfig {
             initial_act: 0,
             ..AdaptiveConfig::default()
         }
-        .validate()
+        .validate(15)
         .is_err());
         assert!(AdaptiveConfig {
             lookback_window_secs: 0.0,
             ..AdaptiveConfig::default()
         }
-        .validate()
+        .validate(15)
         .is_err());
     }
 
     #[test]
     #[should_panic(expected = "invalid adaptive config")]
     fn constructor_panics_on_invalid_config() {
-        let _ = AdaptiveSelector::new(AdaptiveConfig {
-            num_categories: 0,
-            ..AdaptiveConfig::default()
-        });
+        let _ = AdaptiveSelector::new(AdaptiveConfig::default(), 0);
     }
 }

@@ -23,24 +23,20 @@ pub trait Categorizer {
     fn name(&self) -> &str;
 
     /// Predict the category of a job from information available before it
-    /// executes.
-    fn categorize(&self, job: &ShuffleJob) -> usize;
+    /// executes, or `None` if no prediction is available at the job's
+    /// arrival (in fault-injection runs, a blackout window). What a missing
+    /// prediction means is the caller's decision: see
+    /// [`AdaptivePolicy`](crate::policy::AdaptivePolicy) and
+    /// [`LadderPolicy`](crate::ladder::LadderPolicy).
+    fn categorize(&self, job: &ShuffleJob) -> Option<usize>;
 
     /// Predict the category together with the categorizer's confidence in
     /// `[0, 1]`. Deterministic categorizers (hash, oracle) are fully
     /// confident; learned models override this with their predicted class
     /// probability. Fault-injection layers use the confidence to calibrate
     /// label-flip faults.
-    fn categorize_with_confidence(&self, job: &ShuffleJob) -> (usize, f64) {
-        (self.categorize(job), 1.0)
-    }
-
-    /// Predict the category, or `None` if no prediction is available at the
-    /// job's arrival time (in fault-injection runs, a blackout window). The
-    /// degradation ladder's model rung calls this and treats `None` as a
-    /// failure of that rung. By default a prediction is always available.
-    fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
-        Some(self.categorize(job))
+    fn categorize_with_confidence(&self, job: &ShuffleJob) -> Option<(usize, f64)> {
+        self.categorize(job).map(|c| (c, 1.0))
     }
 
     /// Number of categories this categorizer produces.
@@ -71,12 +67,12 @@ impl Categorizer for HashCategorizer {
         "Hash"
     }
 
-    fn categorize(&self, job: &ShuffleJob) -> usize {
+    fn categorize(&self, job: &ShuffleJob) -> Option<usize> {
         let mut hasher = DefaultHasher::new();
         job.features.pipeline_name.hash(&mut hasher);
         job.features.execution_name.hash(&mut hasher);
         let positive = self.num_categories - 1;
-        1 + (hasher.finish() % positive as u64) as usize
+        Some(1 + (hasher.finish() % positive as u64) as usize)
     }
 
     fn num_categories(&self) -> usize {
@@ -109,8 +105,8 @@ impl Categorizer for TrueCategoryOracle {
         "TrueCategory"
     }
 
-    fn categorize(&self, job: &ShuffleJob) -> usize {
-        self.labeler.label(&self.cost_model.cost_job(job))
+    fn categorize(&self, job: &ShuffleJob) -> Option<usize> {
+        Some(self.labeler.label(&self.cost_model.cost_job(job)))
     }
 
     fn num_categories(&self) -> usize {
@@ -129,9 +125,9 @@ mod tests {
         let trace = TraceGenerator::new(31).generate(&ClusterSpec::balanced(0), 3_600.0);
         let cat = HashCategorizer::new(15);
         for job in trace.iter() {
-            let c = cat.categorize(job);
+            let c = cat.categorize(job).expect("hash always predicts");
             assert!((1..15).contains(&c));
-            assert_eq!(c, cat.categorize(job));
+            assert_eq!(Some(c), cat.categorize(job));
         }
         assert_eq!(cat.num_categories(), 15);
         assert_eq!(cat.name(), "Hash");
@@ -142,7 +138,7 @@ mod tests {
         let trace = TraceGenerator::new(32).generate(&ClusterSpec::balanced(0), 14_400.0);
         let cat = HashCategorizer::new(8);
         let distinct: std::collections::HashSet<usize> =
-            trace.iter().map(|j| cat.categorize(j)).collect();
+            trace.iter().filter_map(|j| cat.categorize(j)).collect();
         assert!(distinct.len() >= 4, "expected spread, got {distinct:?}");
     }
 
@@ -160,7 +156,7 @@ mod tests {
         let labeler = CategoryLabeler::fit(&costs, 5);
         let oracle = TrueCategoryOracle::new(labeler.clone(), cost_model);
         for (job, cost) in trace.iter().zip(&costs) {
-            assert_eq!(oracle.categorize(job), labeler.label(cost));
+            assert_eq!(oracle.categorize(job), Some(labeler.label(cost)));
         }
         assert_eq!(oracle.num_categories(), 5);
     }

@@ -3,10 +3,10 @@
 //!
 //! The ladder's rungs, from most to least capable:
 //!
-//! 0. **Model** — the (possibly fallible) category model plus the adaptive
-//!    category selection algorithm.
-//! 1. **Hash** — the non-ML hash categorizer plus an independent adaptive
-//!    selector; survives model blackouts and label corruption.
+//! 0. **Model** — the (possibly fallible) category model behind an
+//!    [`AdaptivePolicy`]; a missing prediction is a failure of this rung.
+//! 1. **Hash** — the non-ML hash categorizer behind an independent
+//!    [`AdaptivePolicy`]; survives model blackouts and label corruption.
 //! 2. **Heuristic** — the CacheSack-style per-category admission heuristic;
 //!    survives broken feature pipelines (it only needs the pipeline
 //!    identity and measured costs).
@@ -23,13 +23,15 @@
 //! bookkeeping runs in *simulated* time — the tracker never consults a wall
 //! clock, so ladder runs stay bit-reproducible.
 //!
-//! Every rung is kept warm regardless of which rung is deciding: the hash
-//! selector keeps observing outcomes and the heuristic keeps folding costs
-//! into its category statistics, so a demotion hands control to a rung with
-//! up-to-date state rather than a cold start.
+//! Every rung is kept warm regardless of which rung is deciding: both
+//! adaptive rungs keep observing outcomes and the heuristic keeps folding
+//! costs into its category statistics, so a demotion hands control to a rung
+//! with up-to-date state rather than a cold start. Both adaptive rungs run
+//! Algorithm 1 with [`AdaptiveConfig::default`].
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveSelector};
+use crate::adaptive::AdaptiveConfig;
 use crate::categorize::{Categorizer, HashCategorizer};
+use crate::policy::AdaptivePolicy;
 use byom_cost::JobCost;
 use byom_policies::{CategoryHeuristic, FirstFit};
 use byom_sim::{Device, JobOutcome, PlacementPolicy, SystemState};
@@ -50,9 +52,6 @@ pub struct LadderConfig {
     /// Simulated seconds to wait after a demotion (or a failed probe)
     /// before probing the rung above for recovery.
     pub probe_after_secs: f64,
-    /// Adaptive-selector configuration shared by the model and hash rungs
-    /// (each rung gets its own independent selector instance).
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for LadderConfig {
@@ -60,7 +59,6 @@ impl Default for LadderConfig {
         LadderConfig {
             demote_after: 10,
             probe_after_secs: 1_800.0,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -156,10 +154,8 @@ impl HealthTracker {
 #[derive(Debug, Clone)]
 pub struct LadderPolicy<M: Categorizer> {
     name: String,
-    model: M,
-    model_selector: AdaptiveSelector,
-    hash: HashCategorizer,
-    hash_selector: AdaptiveSelector,
+    model: AdaptivePolicy<M>,
+    hash: AdaptivePolicy<HashCategorizer>,
     heuristic: CategoryHeuristic,
     first_fit: FirstFit,
     health: HealthTracker,
@@ -172,38 +168,31 @@ pub struct LadderPolicy<M: Categorizer> {
 }
 
 impl<M: Categorizer> LadderPolicy<M> {
-    /// Build a ladder from a (possibly fallible) model-rung categorizer; see
-    /// [`Categorizer::try_categorize`].
-    /// The adaptive selectors' category count follows the categorizer's.
+    /// Build a ladder from a (possibly fallible) model-rung categorizer,
+    /// whose `None` from [`Categorizer::categorize`] is a failure of the
+    /// model rung. The hash rung gets the categorizer's category count.
     ///
     /// # Panics
-    /// Panics if `config.adaptive` is invalid (see
-    /// [`AdaptiveConfig::validate`]) or the categorizer produces fewer than
-    /// two categories.
+    /// Panics if the categorizer produces fewer than two categories.
     pub fn new(model: M, config: LadderConfig) -> Self {
-        let adaptive = AdaptiveConfig {
-            num_categories: model.num_categories(),
-            ..config.adaptive
-        };
         let name = format!("Ladder {}", model.name());
+        let hash = HashCategorizer::new(model.num_categories());
         LadderPolicy {
             name,
-            model_selector: AdaptiveSelector::new(adaptive),
-            hash: HashCategorizer::new(adaptive.num_categories),
-            hash_selector: AdaptiveSelector::new(adaptive),
+            model: AdaptivePolicy::new(model, AdaptiveConfig::default()),
+            hash: AdaptivePolicy::new(hash, AdaptiveConfig::default()),
             heuristic: CategoryHeuristic::default(),
             first_fit: FirstFit::new(),
             health: HealthTracker::new(config.demote_after, config.probe_after_secs),
             occupancy: [0; LADDER_RUNGS],
             last_decider: 0,
             last_attributed: false,
-            model,
         }
     }
 
     /// The model-rung categorizer.
     pub fn model(&self) -> &M {
-        &self.model
+        self.model.categorizer()
     }
 
     /// The health tracker's current state.
@@ -217,20 +206,15 @@ impl<M: Categorizer> LadderPolicy<M> {
     }
 
     /// Decide via the model rung if it answers; `None` means blackout.
-    fn model_decision(&mut self, now: f64, job: &ShuffleJob) -> Option<Device> {
-        let category = self.model.try_categorize(job)?;
-        Some(if self.model_selector.admit(now, category) {
-            Device::Ssd
-        } else {
-            Device::Hdd
-        })
+    fn model_decision(&mut self, job: &ShuffleJob) -> Option<Device> {
+        let category = self.model.categorizer().categorize(job)?;
+        Some(self.model.admit(job.arrival, category))
     }
 
     /// Decide via a fallback rung (1..=3).
     fn fallback_decision(
         &mut self,
         rung: usize,
-        now: f64,
         job: &ShuffleJob,
         cost: &JobCost,
         state: &SystemState,
@@ -240,10 +224,10 @@ impl<M: Categorizer> LadderPolicy<M> {
                 // The hash categories carry no cost signal (they are
                 // pseudo-random buckets), so the rung additionally gates on
                 // the job's measured costs: a job whose SSD TCO exceeds its
-                // HDD TCO can never pay for its admission.
-                let category = self.hash.categorize(job);
-                if cost.tco_ssd < cost.tco_hdd && self.hash_selector.admit(now, category) {
-                    Device::Ssd
+                // HDD TCO can never pay for its admission, and Algorithm 1
+                // does not run for it.
+                if cost.tco_ssd < cost.tco_hdd {
+                    self.hash.place(job, cost, state)
                 } else {
                     Device::Hdd
                 }
@@ -272,40 +256,37 @@ impl<M: Categorizer> PlacementPolicy for LadderPolicy<M> {
 
         let active = self.health.active_rung();
         let (decider, decision) = if active == 0 {
-            match self.model_decision(now, job) {
+            match self.model_decision(job) {
                 Some(d) => (0, d),
                 None => {
                     // Blackout while the model is the authority: a failure.
                     self.health.record_failure(now);
                     let rung = self.health.active_rung().max(1);
-                    (rung, self.fallback_decision(rung, now, job, cost, state))
+                    (rung, self.fallback_decision(rung, job, cost, state))
                 }
             }
         } else if self.health.probe_due(now) {
             if active == 1 {
                 // The rung above is the model: the probe succeeds only if it
                 // answers.
-                match self.model_decision(now, job) {
+                match self.model_decision(job) {
                     Some(d) => {
                         self.health.promote(now);
                         (0, d)
                     }
                     None => {
                         self.health.probe_failed(now);
-                        (1, self.fallback_decision(1, now, job, cost, state))
+                        (1, self.fallback_decision(1, job, cost, state))
                     }
                 }
             } else {
                 // Non-model rungs always answer: climb one rung.
                 self.health.promote(now);
                 let rung = self.health.active_rung();
-                (rung, self.fallback_decision(rung, now, job, cost, state))
+                (rung, self.fallback_decision(rung, job, cost, state))
             }
         } else {
-            (
-                active,
-                self.fallback_decision(active, now, job, cost, state),
-            )
+            (active, self.fallback_decision(active, job, cost, state))
         };
 
         if let Some(slot) = self.occupancy.get_mut(decider) {
@@ -321,9 +302,9 @@ impl<M: Categorizer> PlacementPolicy for LadderPolicy<M> {
     }
 
     fn observe(&mut self, outcome: &JobOutcome) {
-        // Both adaptive selectors keep learning from every outcome.
-        self.model_selector.observe(outcome);
-        self.hash_selector.observe(outcome);
+        // Both adaptive rungs keep learning from every outcome.
+        self.model.observe(outcome);
+        self.hash.observe(outcome);
         // Spillover feedback: only outcomes decided by the active rung speak
         // for its health (a fallback's good outcome must not mask a
         // blacked-out model). Only *full* spills count as misses — partial
@@ -355,16 +336,10 @@ mod tests {
         fn name(&self) -> &str {
             "Windowed"
         }
-        fn categorize(&self, _job: &ShuffleJob) -> usize {
-            self.categories - 1 // always top category
-        }
-        fn try_categorize(&self, job: &ShuffleJob) -> Option<usize> {
+        fn categorize(&self, job: &ShuffleJob) -> Option<usize> {
             let (start, end) = self.blackout;
-            if job.arrival >= start && job.arrival < end {
-                None
-            } else {
-                Some(self.categorize(job))
-            }
+            // Outside the blackout: always the top category.
+            (job.arrival < start || job.arrival >= end).then_some(self.categories - 1)
         }
         fn num_categories(&self) -> usize {
             self.categories
@@ -416,10 +391,6 @@ mod tests {
         LadderConfig {
             demote_after,
             probe_after_secs: probe_after,
-            adaptive: AdaptiveConfig {
-                num_categories: 5,
-                ..AdaptiveConfig::default()
-            },
         }
     }
 
@@ -484,7 +455,6 @@ mod tests {
                 end: t + 50.0,
                 scheduled: d,
                 ssd_fraction: if d == Device::Ssd { 1.0 } else { 0.0 },
-                spillover_time: None,
                 tcio_hdd: 1.0,
                 size_bytes: 100,
             });
@@ -512,7 +482,6 @@ mod tests {
                 end: t + 50.0,
                 scheduled: d,
                 ssd_fraction: 0.0,
-                spillover_time: if d == Device::Ssd { Some(t) } else { None },
                 tcio_hdd: 1.0,
                 size_bytes: 100,
             });

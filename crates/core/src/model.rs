@@ -209,15 +209,15 @@ impl Categorizer for CategoryModel {
         "Ranking"
     }
 
-    fn categorize(&self, job: &ShuffleJob) -> usize {
-        self.predict_category(&job.features)
+    fn categorize(&self, job: &ShuffleJob) -> Option<usize> {
+        Some(self.predict_category(&job.features))
     }
 
-    fn categorize_with_confidence(&self, job: &ShuffleJob) -> (usize, f64) {
+    fn categorize_with_confidence(&self, job: &ShuffleJob) -> Option<(usize, f64)> {
         let proba = self.predict_proba(&job.features);
         let category = argmax(&proba);
         let confidence = proba.get(category).copied().unwrap_or(0.0);
-        (category, confidence)
+        Some((category, confidence))
     }
 
     fn num_categories(&self) -> usize {
@@ -323,7 +323,10 @@ mod tests {
         let (trace, costs, labeler) = setup(46, 4.0, 4);
         let model = CategoryModel::train(&small_config(4), &trace, &costs, &labeler).unwrap();
         for job in trace.iter().take(20) {
-            assert_eq!(model.categorize(job), model.predict_category(&job.features));
+            assert_eq!(
+                model.categorize(job),
+                Some(model.predict_category(&job.features))
+            );
         }
         assert_eq!(Categorizer::num_categories(&model), 4);
         assert_eq!(model.name(), "Ranking");

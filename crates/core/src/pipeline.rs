@@ -4,10 +4,12 @@
 //! historical window of production workloads offline, fit the category
 //! labeler and the per-cluster category model, and hand the storage layer a
 //! policy that combines the model's predictions with the adaptive category
-//! selection algorithm.
+//! selection algorithm. The policies minted here run that algorithm with
+//! [`AdaptiveConfig::default`]; a storage layer that wants other settings
+//! builds its own with [`AdaptivePolicy::new`].
 
 use crate::adaptive::AdaptiveConfig;
-use crate::categorize::{Categorizer, HashCategorizer, TrueCategoryOracle};
+use crate::categorize::{HashCategorizer, TrueCategoryOracle};
 use crate::labels::CategoryLabeler;
 use crate::ladder::{LadderConfig, LadderPolicy};
 use crate::model::{CategoryModel, CategoryModelConfig};
@@ -22,7 +24,6 @@ pub struct ByomPipelineBuilder {
     num_categories: usize,
     gbdt_trees: usize,
     valid_fraction: f64,
-    adaptive: AdaptiveConfig,
     parallelism: usize,
 }
 
@@ -32,7 +33,6 @@ impl Default for ByomPipelineBuilder {
             num_categories: 15,
             gbdt_trees: 300,
             valid_fraction: 0.2,
-            adaptive: AdaptiveConfig::default(),
             parallelism: 0,
         }
     }
@@ -54,13 +54,6 @@ impl ByomPipelineBuilder {
     /// Fraction of training data held out for early stopping.
     pub fn valid_fraction(mut self, fraction: f64) -> Self {
         self.valid_fraction = fraction;
-        self
-    }
-
-    /// Adaptive-algorithm configuration (look-back window, tolerance range,
-    /// decision interval).
-    pub fn adaptive_config(mut self, config: AdaptiveConfig) -> Self {
-        self.adaptive = config;
         self
     }
 
@@ -129,36 +122,31 @@ impl ByomPipeline {
                 labeler,
                 model,
                 cost_model: *cost_model,
-                adaptive: AdaptiveConfig {
-                    num_categories: self.builder.num_categories,
-                    ..self.builder.adaptive
-                },
             })
         })
     }
 }
 
-/// A trained BYOM deployment: labeler, category model, and the adaptive
-/// configuration, ready to mint placement policies.
+/// A trained BYOM deployment: labeler and category model, ready to mint
+/// placement policies.
 #[derive(Debug, Clone)]
 pub struct TrainedByom {
     labeler: CategoryLabeler,
     model: CategoryModel,
     cost_model: CostModel,
-    adaptive: AdaptiveConfig,
 }
 
 impl TrainedByom {
     /// The paper's method: model predictions + adaptive category selection.
     pub fn adaptive_ranking_policy(&self) -> AdaptivePolicy<CategoryModel> {
-        AdaptivePolicy::new(self.model.clone(), self.adaptive)
+        AdaptivePolicy::new(self.model.clone(), AdaptiveConfig::default())
     }
 
     /// The non-ML ablation: hashed categories + adaptive category selection.
     pub fn adaptive_hash_policy(&self) -> AdaptivePolicy<HashCategorizer> {
         AdaptivePolicy::new(
-            HashCategorizer::new(self.adaptive.num_categories),
-            self.adaptive,
+            HashCategorizer::new(self.model.num_categories()),
+            AdaptiveConfig::default(),
         )
     }
 
@@ -167,7 +155,7 @@ impl TrainedByom {
     pub fn true_category_policy(&self) -> AdaptivePolicy<TrueCategoryOracle> {
         AdaptivePolicy::new(
             TrueCategoryOracle::new(self.labeler.clone(), self.cost_model),
-            self.adaptive,
+            AdaptiveConfig::default(),
         )
     }
 
@@ -175,24 +163,7 @@ impl TrainedByom {
     /// rung: model → hash → heuristic → first-fit, with default demotion and
     /// probing settings (see [`LadderConfig`]).
     pub fn ladder_policy(&self) -> LadderPolicy<CategoryModel> {
-        self.ladder_policy_with(
-            self.model.clone(),
-            LadderConfig {
-                adaptive: self.adaptive,
-                ..LadderConfig::default()
-            },
-        )
-    }
-
-    /// The graceful-degradation ladder with a caller-supplied (possibly
-    /// fallible) model rung — fault-injection layers wrap the trained model
-    /// and hand the wrapper in here.
-    pub fn ladder_policy_with<M: Categorizer>(
-        &self,
-        model: M,
-        config: LadderConfig,
-    ) -> LadderPolicy<M> {
-        LadderPolicy::new(model, config)
+        LadderPolicy::new(self.model.clone(), LadderConfig::default())
     }
 
     /// The fitted category labeler.
@@ -205,11 +176,6 @@ impl TrainedByom {
         &self.model
     }
 
-    /// The adaptive-algorithm configuration.
-    pub fn adaptive_config(&self) -> &AdaptiveConfig {
-        &self.adaptive
-    }
-
     /// The cost model used for labeling.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
@@ -219,6 +185,7 @@ impl TrainedByom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::categorize::Categorizer;
     use byom_cost::CostRates;
     use byom_sim::{PlacementPolicy, SimConfig, Simulator};
     use byom_trace::{ClusterSpec, TraceGenerator};
@@ -259,7 +226,7 @@ mod tests {
         assert_eq!(truth.name(), "Adaptive TrueCategory");
         assert_eq!(trained.labeler().num_categories(), 5);
         assert_eq!(trained.model().num_categories(), 5);
-        assert_eq!(trained.adaptive_config().num_categories, 5);
+        assert_eq!(hash.categorizer().num_categories(), 5);
     }
 
     #[test]

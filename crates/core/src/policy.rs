@@ -25,18 +25,28 @@ pub struct AdaptivePolicy<C: Categorizer> {
 
 impl<C: Categorizer> AdaptivePolicy<C> {
     /// Build a policy from a categorizer and an adaptive-algorithm
-    /// configuration. The configuration's category count is overridden by the
-    /// categorizer's.
+    /// configuration. The selector's category count is the categorizer's.
+    ///
+    /// # Panics
+    /// Panics if `config` is invalid for the categorizer's category count
+    /// (see [`AdaptiveConfig::validate`]).
     pub fn new(categorizer: C, config: AdaptiveConfig) -> Self {
-        let config = AdaptiveConfig {
-            num_categories: categorizer.num_categories(),
-            ..config
-        };
         let name = format!("Adaptive {}", categorizer.name());
         AdaptivePolicy {
             name,
-            selector: AdaptiveSelector::new(config),
+            selector: AdaptiveSelector::new(config, categorizer.num_categories()),
             categorizer,
+        }
+    }
+
+    /// Run Algorithm 1 for a job of `category` arriving at `now`: SSD if the
+    /// category is at or above the ACT, which is re-evaluated first when the
+    /// previous decision has expired.
+    pub(crate) fn admit(&mut self, now: f64, category: usize) -> Device {
+        if self.selector.admit(now, category) {
+            Device::Ssd
+        } else {
+            Device::Hdd
         }
     }
 
@@ -62,13 +72,11 @@ impl<C: Categorizer> PlacementPolicy for AdaptivePolicy<C> {
         &self.name
     }
 
+    /// A missing prediction is category 0, which Algorithm 1 never admits.
+    /// The selector still runs for it, so the ACT keeps its update schedule.
     fn place(&mut self, job: &ShuffleJob, _cost: &JobCost, _state: &SystemState) -> Device {
-        let category = self.categorizer.categorize(job);
-        if self.selector.admit(job.arrival, category) {
-            Device::Ssd
-        } else {
-            Device::Hdd
-        }
+        let category = self.categorizer.categorize(job).unwrap_or(0);
+        self.admit(job.arrival, category)
     }
 
     fn observe(&mut self, outcome: &JobOutcome) {
@@ -109,32 +117,52 @@ mod tests {
         assert!(policy.act() >= 1 && policy.act() <= 14);
     }
 
-    #[test]
-    fn category_zero_jobs_are_never_admitted() {
-        /// A categorizer that always returns category 0.
-        #[derive(Debug)]
-        struct AlwaysZero;
-        impl Categorizer for AlwaysZero {
-            fn name(&self) -> &str {
-                "Zero"
-            }
-            fn categorize(&self, _: &ShuffleJob) -> usize {
-                0
-            }
-            fn num_categories(&self) -> usize {
-                5
-            }
+    /// A categorizer that gives every job the same answer.
+    #[derive(Debug)]
+    struct Constant(Option<usize>);
+
+    impl Categorizer for Constant {
+        fn name(&self) -> &str {
+            "Constant"
         }
+        fn categorize(&self, _: &ShuffleJob) -> Option<usize> {
+            self.0
+        }
+        fn num_categories(&self) -> usize {
+            5
+        }
+    }
+
+    fn half_quota_run(policy: &mut AdaptivePolicy<Constant>) -> byom_sim::SimulationResult {
         let trace = TraceGenerator::new(52).generate(&ClusterSpec::balanced(0), 3_600.0);
         let model = CostModel::new(CostRates::default());
         let sim = Simulator::new(
             SimConfig::try_from_quota_fraction(&trace, 0.5).expect("valid quota fraction"),
             model,
         );
-        let mut policy = AdaptivePolicy::new(AlwaysZero, config());
-        let result = sim.run(&trace, &mut policy);
+        sim.run(&trace, policy)
+    }
+
+    #[test]
+    fn category_zero_jobs_are_never_admitted() {
+        let mut policy = AdaptivePolicy::new(Constant(Some(0)), config());
+        let result = half_quota_run(&mut policy);
         assert_eq!(result.jobs_scheduled_to_ssd(), 0);
         assert_eq!(result.savings.tco_savings_percent(), 0.0);
+    }
+
+    #[test]
+    fn a_missing_prediction_is_category_zero() {
+        let mut missing = AdaptivePolicy::new(Constant(None), config());
+        let mut zero = AdaptivePolicy::new(Constant(Some(0)), config());
+        let result = half_quota_run(&mut missing);
+        let _ = half_quota_run(&mut zero);
+        assert_eq!(result.jobs_scheduled_to_ssd(), 0);
+        assert!(
+            missing.adaptation_trace().len() >= 2,
+            "the ACT keeps updating without predictions"
+        );
+        assert_eq!(missing.adaptation_trace(), zero.adaptation_trace());
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! File walking, rule dispatch, and baseline/allowlist accounting.
+//! File walking, rule dispatch, and allowlist accounting.
 
-use crate::baseline::{self, Counts};
 use crate::config::Config;
 use crate::lexer;
 use crate::rules::{self, Finding};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The result of a `check` run.
@@ -16,13 +16,11 @@ pub struct CheckOutcome {
     pub allowed_findings: usize,
     /// Number of `[[allow]]` entries that matched at least one finding.
     pub allow_entries_used: usize,
-    /// Findings covered by the committed baseline.
-    pub baselined_findings: usize,
     /// Findings beyond all budgets. Non-empty means the check fails. When a
     /// `(rule, path)` group exceeds its budget, *all* of the group's findings
     /// are listed (a token-level analyzer cannot tell which one is new).
     pub new_findings: Vec<Finding>,
-    /// Staleness and budget-slack diagnostics (never affect the exit code).
+    /// Budget-slack diagnostics (never affect the exit code).
     pub notes: Vec<String>,
 }
 
@@ -94,8 +92,8 @@ pub fn scan(root: &Path, config: &Config) -> Result<(usize, Vec<Finding>), Strin
 }
 
 /// Aggregate findings into per-`(rule, path)` counts.
-pub fn count(findings: &[Finding]) -> Counts {
-    let mut counts = Counts::new();
+fn count(findings: &[Finding]) -> BTreeMap<(String, String), usize> {
+    let mut counts = BTreeMap::new();
     for f in findings {
         *counts
             .entry((f.rule.to_string(), f.path.clone()))
@@ -104,12 +102,10 @@ pub fn count(findings: &[Finding]) -> Counts {
     counts
 }
 
-/// Run a full check: scan, then charge each `(rule, path)` group first
-/// against its `[[allow]]` budget, then against the baseline; whatever is
-/// left is a new violation.
-pub fn check(root: &Path, config: &Config, baseline_path: &Path) -> Result<CheckOutcome, String> {
+/// Run a full check: scan, then charge each `(rule, path)` group against
+/// its `[[allow]]` budget; whatever is left is a new violation.
+pub fn check(root: &Path, config: &Config) -> Result<CheckOutcome, String> {
     let (files_scanned, findings) = scan(root, config)?;
-    let base = baseline::load(baseline_path)?;
     let counts = count(&findings);
 
     let mut outcome = CheckOutcome {
@@ -136,21 +132,8 @@ pub fn check(root: &Path, config: &Config, baseline_path: &Path) -> Result<Check
                 }
             }
         }
-        let rest = n - covered_by_allow;
-        let base_budget = base
-            .get(&(rule.clone(), path.clone()))
-            .copied()
-            .unwrap_or(0);
-        let covered_by_base = rest.min(base_budget);
-        if base_budget > rest {
-            outcome.notes.push(format!(
-                "stale baseline: {rule} in {path} baselines {base_budget} but only {rest} \
-                 remain — run `cargo run -p byom_lint -- bless`"
-            ));
-        }
         outcome.allowed_findings += covered_by_allow;
-        outcome.baselined_findings += covered_by_base;
-        if rest > covered_by_base {
+        if n > covered_by_allow {
             outcome.new_findings.extend(
                 findings
                     .iter()
@@ -159,38 +142,9 @@ pub fn check(root: &Path, config: &Config, baseline_path: &Path) -> Result<Check
             );
         }
     }
-    // Baseline entries whose files are clean (or gone) are also stale.
-    for (rule, path) in base.keys() {
-        if !counts.contains_key(&(rule.clone(), path.clone())) {
-            outcome.notes.push(format!(
-                "stale baseline: {rule} in {path} has no findings anymore — run \
-                 `cargo run -p byom_lint -- bless`"
-            ));
-        }
-    }
     outcome.allow_entries_used = used_allow_entries.len();
     outcome.new_findings.sort();
     Ok(outcome)
-}
-
-/// Rewrite the baseline to the current tree state: everything beyond the
-/// `[[allow]]` budgets gets baselined. Returns the new counts.
-pub fn bless(root: &Path, config: &Config, baseline_path: &Path) -> Result<Counts, String> {
-    let (_, findings) = scan(root, config)?;
-    let mut counts = count(&findings);
-    counts.retain(|(rule, path), n| {
-        let allow_budget = config
-            .allow_for(rule, path)
-            .map_or(0, |a| a.max.unwrap_or(usize::MAX));
-        if *n > allow_budget {
-            *n -= allow_budget;
-            true
-        } else {
-            false
-        }
-    });
-    baseline::store(baseline_path, &counts)?;
-    Ok(counts)
 }
 
 #[cfg(test)]
@@ -223,7 +177,7 @@ reason = "test fixture"
 "#;
 
     #[test]
-    fn check_charges_allow_then_baseline_then_fails() {
+    fn check_charges_allow_budgets_then_fails() {
         let root = temp_root("charge");
         write(&root, "src/allowed.rs", "fn f() { g().unwrap(); }\n");
         write(
@@ -232,51 +186,55 @@ reason = "test fixture"
             "fn f() { g().unwrap(); h().unwrap(); }\n",
         );
         let cfg = config::parse(CONFIG).unwrap();
-        let baseline_path = root.join("lint.baseline");
 
-        // No baseline: allowed.rs is covered by [[allow]], hot.rs is new.
-        let out = check(&root, &cfg, &baseline_path).unwrap();
+        // allowed.rs is covered by its [[allow]] budget, hot.rs has none.
+        let out = check(&root, &cfg).unwrap();
         assert_eq!(out.total_findings, 3);
         assert_eq!(out.allowed_findings, 1);
+        assert_eq!(out.allow_entries_used, 1);
         assert_eq!(out.new_findings.len(), 2);
         assert!(out.new_findings.iter().all(|f| f.path == "src/hot.rs"));
 
-        // Bless, then the same tree checks clean.
-        let blessed = bless(&root, &cfg, &baseline_path).unwrap();
-        assert_eq!(
-            blessed
-                .get(&("panic-surface".into(), "src/hot.rs".into()))
-                .copied(),
-            Some(2)
-        );
-        assert!(!blessed.contains_key(&("panic-surface".into(), "src/allowed.rs".into())));
-        let out = check(&root, &cfg, &baseline_path).unwrap();
-        assert!(out.new_findings.is_empty(), "{out:#?}");
-        assert_eq!(out.baselined_findings, 2);
-
-        // A new violation beyond the baseline fails again.
+        // A violation beyond the budget fails, and the whole group is
+        // reported.
         write(
             &root,
-            "src/hot.rs",
-            "fn f() { g().unwrap(); h().unwrap(); i().unwrap(); }\n",
+            "src/allowed.rs",
+            "fn f() { g().unwrap(); h().unwrap(); }\n",
         );
-        let out = check(&root, &cfg, &baseline_path).unwrap();
-        assert_eq!(out.new_findings.len(), 3, "whole group is reported");
+        let out = check(&root, &cfg).unwrap();
+        assert_eq!(out.allowed_findings, 1);
+        assert_eq!(out.new_findings.len(), 4);
+        assert_eq!(
+            out.new_findings
+                .iter()
+                .filter(|f| f.path == "src/allowed.rs")
+                .count(),
+            2,
+            "whole group is reported"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn fixed_violations_surface_as_stale_baseline_notes() {
-        let root = temp_root("stale");
-        write(&root, "src/a.rs", "fn f() { g().unwrap(); }\n");
-        let cfg = config::parse("roots = [\"src\"]\n").unwrap();
-        let baseline_path = root.join("lint.baseline");
-        bless(&root, &cfg, &baseline_path).unwrap();
-
-        write(&root, "src/a.rs", "fn f() -> R { g() }\n");
-        let out = check(&root, &cfg, &baseline_path).unwrap();
+    fn fixed_violations_surface_as_budget_slack_notes() {
+        let root = temp_root("slack");
+        write(
+            &root,
+            "src/allowed.rs",
+            "fn f() { g().unwrap(); h().unwrap(); }\n",
+        );
+        let cfg = config::parse(&CONFIG.replace("max = 1", "max = 2")).unwrap();
+        let out = check(&root, &cfg).unwrap();
         assert!(out.new_findings.is_empty());
-        assert!(out.notes.iter().any(|n| n.contains("stale baseline")));
+        assert!(out.notes.is_empty(), "an exact budget has no slack");
+
+        write(&root, "src/allowed.rs", "fn f() { g().unwrap(); }\n");
+        let out = check(&root, &cfg).unwrap();
+        assert!(out.new_findings.is_empty());
+        assert_eq!(out.notes.len(), 1, "{:?}", out.notes);
+        assert!(out.notes[0].contains("allow budget slack"));
+        assert!(out.notes[0].contains("permits 2 but only 1"));
         let _ = std::fs::remove_dir_all(&root);
     }
 

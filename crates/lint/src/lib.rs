@@ -20,13 +20,12 @@
 //!   end in an order-sensitive reduction unless justified inline with
 //!   `// lint: ordered-reduction`.
 //!
-//! Scoping and justified suppressions live in `lint.toml`; accepted
-//! historical violations live in `lint.baseline` (regenerate with `bless`).
-//! Run `cargo run -p byom_lint -- check` (CI does) or `-- bless`.
+//! Scoping and suppressions live in `lint.toml`: each `[[allow]]` entry
+//! carries a reason and a `max` budget, and is the only way to accept a
+//! finding. Run `cargo run -p byom_lint -- check` (CI does).
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod config;
 pub mod engine;
 pub mod lexer;

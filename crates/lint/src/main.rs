@@ -1,4 +1,4 @@
-//! CLI entry point: `byom_lint check [--json]` / `byom_lint bless`.
+//! CLI entry point: `byom_lint check [--json]`.
 
 #![forbid(unsafe_code)]
 
@@ -10,25 +10,22 @@ const USAGE: &str = "\
 byom_lint — determinism & panic-surface analyzer for this workspace
 
 USAGE:
-    cargo run -p byom_lint -- <COMMAND> [OPTIONS]
+    cargo run -p byom_lint -- check [OPTIONS]
 
 COMMANDS:
     check    scan the tree and fail (exit 1) on violations beyond the
-             lint.toml allowlist and the committed baseline
-    bless    rewrite the baseline to accept the current tree
+             lint.toml [[allow]] budgets
 
 OPTIONS:
     --root <DIR>        repository root to scan        [default: .]
     --config <FILE>     configuration file             [default: <root>/lint.toml]
-    --baseline <FILE>   baseline file                  [default: <root>/lint.baseline]
-    --json              (check) emit a JSON report instead of text
+    --json              emit a JSON report instead of text
 ";
 
 struct Args {
     command: String,
     root: PathBuf,
     config: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: bool,
 }
 
@@ -39,14 +36,12 @@ fn parse_args() -> Result<Args, String> {
         command,
         root: PathBuf::from("."),
         config: None,
-        baseline: None,
         json: false,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => parsed.root = take_value(&mut args, "--root")?.into(),
             "--config" => parsed.config = Some(take_value(&mut args, "--config")?.into()),
-            "--baseline" => parsed.baseline = Some(take_value(&mut args, "--baseline")?.into()),
             "--json" => parsed.json = true,
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -66,14 +61,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if args.command != "check" {
+        eprintln!("error: unknown command `{}`\n\n{USAGE}", args.command);
+        return ExitCode::from(2);
+    }
     let config_path = args
         .config
         .clone()
         .unwrap_or_else(|| args.root.join("lint.toml"));
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("lint.baseline"));
     let config = match config::load(&config_path) {
         Ok(c) => c,
         Err(e) => {
@@ -82,43 +77,21 @@ fn main() -> ExitCode {
         }
     };
 
-    match args.command.as_str() {
-        "check" => match engine::check(&args.root, &config, &baseline_path) {
-            Ok(outcome) => {
-                if args.json {
-                    println!("{}", report::json(&outcome));
-                } else {
-                    print!("{}", report::human(&outcome));
-                }
-                if outcome.new_findings.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::from(1)
-                }
+    match engine::check(&args.root, &config) {
+        Ok(outcome) => {
+            if args.json {
+                println!("{}", report::json(&outcome));
+            } else {
+                print!("{}", report::human(&outcome));
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        },
-        "bless" => match engine::bless(&args.root, &config, &baseline_path) {
-            Ok(counts) => {
-                let total: usize = counts.values().sum();
-                println!(
-                    "blessed {} finding(s) across {} (rule, file) pair(s) into {}",
-                    total,
-                    counts.len(),
-                    baseline_path.display()
-                );
+            if outcome.new_findings.is_empty() {
                 ExitCode::SUCCESS
+            } else {
+                ExitCode::from(1)
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        },
-        other => {
-            eprintln!("error: unknown command `{other}`\n\n{USAGE}");
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::from(2)
         }
     }

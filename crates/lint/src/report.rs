@@ -4,7 +4,7 @@ use crate::engine::CheckOutcome;
 use crate::rules::Finding;
 
 /// Render the outcome for terminals: one `path:line: [rule] message` per new
-/// finding, then a summary of budgets and staleness.
+/// finding, then the budget notes and a summary.
 pub fn human(outcome: &CheckOutcome) -> String {
     let mut out = String::new();
     for f in &outcome.new_findings {
@@ -21,20 +21,19 @@ pub fn human(outcome: &CheckOutcome) -> String {
     }
     out.push_str(&format!(
         "{} file(s) scanned, {} finding(s) total, {} allowed ({} suppression budget(s)), \
-         {} baselined, {} NEW\n",
+         {} NEW\n",
         outcome.files_scanned,
         outcome.total_findings,
         outcome.allowed_findings,
         outcome.allow_entries_used,
-        outcome.baselined_findings,
         outcome.new_findings.len(),
     ));
     if outcome.new_findings.is_empty() {
         out.push_str("OK: no new violations\n");
     } else {
         out.push_str(
-            "FAIL: new violations — fix them, justify them in lint.toml ([[allow]]), or \
-             run `cargo run -p byom_lint -- bless` if they are intentional\n",
+            "FAIL: new violations — fix them, or justify them with an [[allow]] entry \
+             in lint.toml\n",
         );
     }
     out
@@ -46,11 +45,8 @@ pub fn json(outcome: &CheckOutcome) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(
         "\"files_scanned\":{},\"total_findings\":{},\"allowed_findings\":{},\
-         \"baselined_findings\":{},\"new_findings\":[",
-        outcome.files_scanned,
-        outcome.total_findings,
-        outcome.allowed_findings,
-        outcome.baselined_findings,
+         \"new_findings\":[",
+        outcome.files_scanned, outcome.total_findings, outcome.allowed_findings,
     ));
     for (i, f) in outcome.new_findings.iter().enumerate() {
         if i > 0 {
@@ -107,7 +103,6 @@ mod tests {
             total_findings: finding.iter().count(),
             allowed_findings: 0,
             allow_entries_used: 0,
-            baselined_findings: 0,
             new_findings: finding.into_iter().collect(),
             notes: vec!["a \"note\"".into()],
         }

@@ -1,6 +1,7 @@
 //! End-to-end tests against a fixture tree with known violations: golden
-//! finding list, bless → check round-trip, CLI exit codes, and a guard that
-//! the repository itself stays clean under its committed configuration.
+//! finding list, `[[allow]]` budgets that absorb it, CLI exit codes, and a
+//! guard that the repository itself stays clean under its committed
+//! configuration.
 
 use byom_lint::{config, engine};
 use std::path::{Path, PathBuf};
@@ -14,10 +15,10 @@ fn fixture_config() -> config::Config {
     config::load(&fixture_root().join("lint.toml")).expect("fixture config parses")
 }
 
-fn temp_baseline(tag: &str) -> PathBuf {
+fn temp_file(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("byom_lint_golden_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(format!("{tag}.baseline"))
+    dir.join(name)
 }
 
 /// The complete expected finding list for the fixture tree, one
@@ -65,39 +66,42 @@ fn clean_fixture_produces_no_findings() {
 }
 
 #[test]
-fn bless_then_check_round_trip() {
+fn allow_budgets_absorb_the_fixture_findings_exactly() {
     let root = fixture_root();
-    let cfg = fixture_config();
-    let baseline = temp_baseline("round_trip");
-    let _ = std::fs::remove_file(&baseline);
 
-    // Without a baseline every finding is new.
-    let before = engine::check(&root, &cfg, &baseline).expect("check");
+    // Without [[allow]] entries every finding is new.
+    let before = engine::check(&root, &fixture_config()).expect("check");
     assert_eq!(before.new_findings.len(), GOLDEN.len());
+    assert_eq!(before.allowed_findings, 0);
 
-    // After bless the same tree checks clean, with everything baselined.
-    let blessed = engine::bless(&root, &cfg, &baseline).expect("bless");
-    assert_eq!(blessed.values().sum::<usize>(), GOLDEN.len());
-    let after = engine::check(&root, &cfg, &baseline).expect("check");
+    // One exact budget per (rule, file) group: the tree checks clean with
+    // every finding allowed and no slack.
+    let mut budgets = std::collections::BTreeMap::new();
+    for entry in GOLDEN {
+        let (rule, at) = entry.split_once('\t').expect("rule<TAB>path:line");
+        let path = at.rsplit_once(':').expect("path:line").0;
+        *budgets.entry((rule, path)).or_insert(0) += 1;
+    }
+    let mut source = String::from("roots = [\"src\"]\n");
+    for ((rule, path), max) in &budgets {
+        source.push_str(&format!(
+            "[[allow]]\nrule = \"{rule}\"\npath = \"{path}\"\nmax = {max}\nreason = \"fixture\"\n"
+        ));
+    }
+    let cfg = config::parse(&source).expect("allow config parses");
+    let after = engine::check(&root, &cfg).expect("check");
     assert!(after.new_findings.is_empty(), "{after:#?}");
-    assert_eq!(after.baselined_findings, GOLDEN.len());
-    assert!(after.notes.is_empty(), "fresh baseline has no staleness");
-
-    let _ = std::fs::remove_file(&baseline);
+    assert_eq!(after.allowed_findings, GOLDEN.len());
+    assert_eq!(after.allow_entries_used, budgets.len());
+    assert!(after.notes.is_empty(), "exact budgets have no slack");
 }
 
 #[test]
 fn cli_reports_violations_with_exit_code_one() {
     let bin = env!("CARGO_BIN_EXE_byom_lint");
-    let root = fixture_root();
-    let baseline = temp_baseline("cli_fail");
-    let _ = std::fs::remove_file(&baseline);
-
     let output = Command::new(bin)
         .args(["check", "--root"])
-        .arg(&root)
-        .arg("--baseline")
-        .arg(&baseline)
+        .arg(fixture_root())
         .output()
         .expect("run byom_lint");
     assert_eq!(
@@ -117,42 +121,37 @@ fn cli_reports_violations_with_exit_code_one() {
 }
 
 #[test]
-fn cli_bless_then_check_exits_zero_and_json_is_well_formed() {
+fn cli_check_of_a_clean_tree_exits_zero_and_json_is_well_formed() {
     let bin = env!("CARGO_BIN_EXE_byom_lint");
-    let root = fixture_root();
-    let baseline = temp_baseline("cli_ok");
-    let _ = std::fs::remove_file(&baseline);
-
-    let bless = Command::new(bin)
-        .args(["bless", "--root"])
-        .arg(&root)
-        .arg("--baseline")
-        .arg(&baseline)
-        .output()
-        .expect("run byom_lint bless");
-    assert_eq!(bless.status.code(), Some(0), "bless succeeds");
+    // Scan only the fixture's violation-free file.
+    let config = temp_file("clean_only.toml");
+    std::fs::write(&config, "roots = [\"src/clean.rs\"]\n").expect("write config");
 
     let check = Command::new(bin)
         .args(["check", "--json", "--root"])
-        .arg(&root)
-        .arg("--baseline")
-        .arg(&baseline)
+        .arg(fixture_root())
+        .arg("--config")
+        .arg(&config)
         .output()
         .expect("run byom_lint check");
-    assert_eq!(check.status.code(), Some(0), "blessed tree checks clean");
+    assert_eq!(check.status.code(), Some(0), "a clean tree checks clean");
     let stdout = String::from_utf8_lossy(&check.stdout);
+    assert!(
+        stdout.contains("\"files_scanned\":1,\"total_findings\":0"),
+        "JSON report:\n{stdout}"
+    );
     assert!(
         stdout.contains("\"new_findings\":[]"),
         "JSON report:\n{stdout}"
     );
     assert!(stdout.contains("\"ok\":true"), "JSON report:\n{stdout}");
 
-    let _ = std::fs::remove_file(&baseline);
+    let _ = std::fs::remove_file(&config);
 }
 
 /// The acceptance criterion for the linter itself: the repository checks
-/// clean under its committed `lint.toml` and `lint.baseline`. Any new
-/// violation anywhere in the workspace fails this test.
+/// clean under its committed `lint.toml`. Any violation anywhere in the
+/// workspace beyond an `[[allow]]` budget fails this test.
 #[test]
 fn repository_tree_checks_clean() {
     let repo = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -160,7 +159,7 @@ fn repository_tree_checks_clean() {
         .canonicalize()
         .expect("repo root");
     let cfg = config::load(&repo.join("lint.toml")).expect("repo lint.toml parses");
-    let outcome = engine::check(&repo, &cfg, &repo.join("lint.baseline")).expect("check");
+    let outcome = engine::check(&repo, &cfg).expect("check");
     assert!(
         outcome.new_findings.is_empty(),
         "repository must check clean; new findings:\n{:#?}",

@@ -53,9 +53,6 @@ pub struct JobOutcome {
     /// Fraction of the job's footprint actually served from SSD (0 for jobs
     /// scheduled to HDD; may be < 1 for SSD-scheduled jobs that spilled).
     pub ssd_fraction: f64,
-    /// Time at which spillover began, if any. With the constant-footprint
-    /// model spillover is detected at admission, so this equals `arrival`.
-    pub spillover_time: Option<f64>,
     /// The job's TCIO if it had run on HDD (used for spillover feedback).
     pub tcio_hdd: f64,
     /// The job's peak footprint in bytes.
@@ -63,7 +60,9 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// Whether the job was scheduled onto SSD but did not fully fit.
+    /// Whether the job was scheduled onto SSD but did not fully fit. With
+    /// the constant-footprint model a spill is detected at admission, so it
+    /// begins at the job's arrival.
     pub fn spilled(&self) -> bool {
         self.scheduled == Device::Ssd && self.ssd_fraction < 1.0
     }
@@ -117,14 +116,13 @@ mod tests {
         assert_eq!(full.ssd_free_bytes(), 0);
     }
 
-    fn outcome(scheduled: Device, fraction: f64, spill: Option<f64>) -> JobOutcome {
+    fn outcome(scheduled: Device, fraction: f64) -> JobOutcome {
         JobOutcome {
             job_id: JobId(0),
             arrival: 10.0,
             end: 110.0,
             scheduled,
             ssd_fraction: fraction,
-            spillover_time: spill,
             tcio_hdd: 2.0,
             size_bytes: 100,
         }
@@ -132,8 +130,8 @@ mod tests {
 
     #[test]
     fn spilled_detection() {
-        assert!(outcome(Device::Ssd, 0.5, Some(10.0)).spilled());
-        assert!(!outcome(Device::Ssd, 1.0, None).spilled());
-        assert!(!outcome(Device::Hdd, 0.0, None).spilled());
+        assert!(outcome(Device::Ssd, 0.5).spilled());
+        assert!(!outcome(Device::Ssd, 1.0).spilled());
+        assert!(!outcome(Device::Hdd, 0.0).spilled());
     }
 }

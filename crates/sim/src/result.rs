@@ -113,11 +113,6 @@ mod tests {
             end: 100.0,
             scheduled,
             ssd_fraction: fraction,
-            spillover_time: if fraction < 1.0 && scheduled == Device::Ssd {
-                Some(0.0)
-            } else {
-                None
-            },
             tcio_hdd: 1.0,
             size_bytes: 10,
         }

@@ -58,7 +58,6 @@ mod tests {
                     Device::Hdd
                 },
                 ssd_fraction: fraction,
-                spillover_time: None,
                 tcio_hdd: tcio,
                 size_bytes: 1,
             }],

@@ -139,12 +139,12 @@ impl Simulator {
             };
             let decision = policy.place(job, cost, &state);
 
-            let (ssd_fraction, spillover_time) = match decision {
-                Device::Hdd => (0.0, None),
+            let ssd_fraction = match decision {
+                Device::Hdd => 0.0,
                 Device::Ssd if !device.try_admit(now, job) => {
                     // Transient admission failure: scheduled to SSD but
                     // nothing placed — a full spill from arrival.
-                    (0.0, Some(now))
+                    0.0
                 }
                 Device::Ssd => {
                     let free = capacity.saturating_sub(occupancy);
@@ -157,13 +157,11 @@ impl Simulator {
                             bytes: placed,
                         }));
                     }
-                    let fraction = if job.size_bytes == 0 {
+                    if job.size_bytes == 0 {
                         0.0
                     } else {
                         placed as f64 / job.size_bytes as f64
-                    };
-                    let spill = if fraction < 1.0 { Some(now) } else { None };
-                    (fraction, spill)
+                    }
                 }
             };
 
@@ -173,7 +171,6 @@ impl Simulator {
                 end: job.end(),
                 scheduled: decision,
                 ssd_fraction,
-                spillover_time,
                 tcio_hdd: cost.tcio_hdd,
                 size_bytes: job.size_bytes,
             };
@@ -295,7 +292,6 @@ mod tests {
         assert_eq!(result.outcomes[0].ssd_fraction, 1.0);
         assert!((result.outcomes[1].ssd_fraction - 0.5).abs() < 1e-9);
         assert!(result.outcomes[1].spilled());
-        assert_eq!(result.outcomes[1].spillover_time, Some(10.0));
     }
 
     #[test]
