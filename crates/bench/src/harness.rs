@@ -157,23 +157,38 @@ impl ExperimentContext {
     /// [`MethodResult`] per method, in the paper's usual order.
     ///
     /// `include_oracles` controls whether the clairvoyant bounds are included
-    /// (they are the slowest part for large traces).
+    /// (they are the slowest part for large traces). Everything runs under
+    /// `params.parallelism`, so a budget of 1 is strictly sequential at every
+    /// nesting level. To sweep several quotas, call [`run_quotas_parallel`]:
+    /// it trains the ML baseline once for all of them.
     pub fn run_all_methods(&self, quota_fraction: f64, include_oracles: bool) -> Vec<MethodResult> {
-        // Pin this experiment's thread budget: before the unified executor,
-        // the ML baseline trained below fell back to "all available cores"
-        // even when `params.parallelism` was 1, because nested calls
-        // resolved their own `available_parallelism` default. Installing the
-        // budget makes `parallelism = 1` strictly sequential at every
-        // nesting level.
         byom_exec::install(self.params.parallelism, || {
-            self.run_all_methods_inner(quota_fraction, include_oracles)
+            self.run_methods_with(quota_fraction, include_oracles, &self.train_ml_baseline())
         })
     }
 
-    fn run_all_methods_inner(
+    /// Train the ML lifetime baseline. It reads only the training trace and
+    /// `params.gbdt_trees`, so one trained baseline serves every quota.
+    fn train_ml_baseline(&self) -> LifetimeMlBaseline {
+        let ml_config = LifetimeModelConfig {
+            gbdt: byom_gbdt::GbdtParams {
+                num_classes: 8,
+                num_trees: self.params.gbdt_trees.min(40),
+                ..byom_gbdt::GbdtParams::default()
+            },
+            ..LifetimeModelConfig::default()
+        };
+        LifetimeMlBaseline::train(ml_config, &self.train)
+            .expect("lifetime baseline training should succeed")
+    }
+
+    /// Every compared method at one quota, with the ML baseline replayed
+    /// from a clone of `ml_baseline`.
+    fn run_methods_with(
         &self,
         quota_fraction: f64,
         include_oracles: bool,
+        ml_baseline: &LifetimeMlBaseline,
     ) -> Vec<MethodResult> {
         let mut results = Vec::new();
 
@@ -183,16 +198,7 @@ impl ExperimentContext {
         let mut heuristic = CategoryHeuristic::default();
         results.push(self.to_result(self.run_policy(quota_fraction, &mut heuristic)));
 
-        let ml_config = LifetimeModelConfig {
-            gbdt: byom_gbdt::GbdtParams {
-                num_classes: 8,
-                num_trees: self.params.gbdt_trees.min(40),
-                ..byom_gbdt::GbdtParams::default()
-            },
-            ..LifetimeModelConfig::default()
-        };
-        let mut ml_baseline = LifetimeMlBaseline::train(ml_config, &self.train)
-            .expect("lifetime baseline training should succeed");
+        let mut ml_baseline = ml_baseline.clone();
         results.push(self.to_result(self.run_policy(quota_fraction, &mut ml_baseline)));
 
         let mut hash = self.trained.adaptive_hash_policy();
@@ -240,19 +246,33 @@ where
 
 /// Run the compared-methods sweep of one prepared context across several
 /// quotas on up to `parallelism` threads (`0` = inherit the ambient
-/// budget, `1` = the old sequential loop, at every nesting level). Returns
-/// one `Vec<MethodResult>` per quota, in quota order — identical to calling
+/// budget, `1` = strictly sequential at every nesting level). Returns one
+/// `Vec<MethodResult>` per quota, in quota order — identical to calling
 /// [`ExperimentContext::run_all_methods`] in a loop.
+///
+/// The ML baseline does not depend on the quota, so the sweep trains it
+/// once, on its whole budget, before fanning out; each quota replays a
+/// clone. An empty `quotas` slice trains nothing.
 pub fn run_quotas_parallel(
     ctx: &ExperimentContext,
     quotas: &[f64],
     include_oracles: bool,
     parallelism: usize,
 ) -> Vec<Vec<MethodResult>> {
+    if quotas.is_empty() {
+        return Vec::new();
+    }
+    let ml_baseline = byom_exec::install(ctx.params.parallelism, || {
+        byom_exec::install(parallelism, || ctx.train_ml_baseline())
+    });
     quotas
         .par_iter()
         .with_max_threads(parallelism)
-        .map(|&q| ctx.run_all_methods(q, include_oracles))
+        .map(|&q| {
+            byom_exec::install(ctx.params.parallelism, || {
+                ctx.run_methods_with(q, include_oracles, &ml_baseline)
+            })
+        })
         .collect()
 }
 

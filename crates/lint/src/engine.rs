@@ -20,7 +20,8 @@ pub struct CheckOutcome {
     /// `(rule, path)` group exceeds its budget, *all* of the group's findings
     /// are listed (a token-level analyzer cannot tell which one is new).
     pub new_findings: Vec<Finding>,
-    /// Budget-slack diagnostics (never affect the exit code).
+    /// Budget-slack and stale-entry diagnostics (never affect the exit
+    /// code).
     pub notes: Vec<String>,
 }
 
@@ -103,7 +104,9 @@ fn count(findings: &[Finding]) -> BTreeMap<(String, String), usize> {
 }
 
 /// Run a full check: scan, then charge each `(rule, path)` group against
-/// its `[[allow]]` budget; whatever is left is a new violation.
+/// its `[[allow]]` budget; whatever is left is a new violation. An entry
+/// with unused budget gets a slack note, and one that matches no finding at
+/// all gets a stale note.
 pub fn check(root: &Path, config: &Config) -> Result<CheckOutcome, String> {
     let (files_scanned, findings) = scan(root, config)?;
     let counts = count(&findings);
@@ -114,14 +117,17 @@ pub fn check(root: &Path, config: &Config) -> Result<CheckOutcome, String> {
         ..CheckOutcome::default()
     };
 
+    let mut matched_allow_entries = std::collections::BTreeSet::new();
     let mut used_allow_entries = std::collections::BTreeSet::new();
     for ((rule, path), &n) in &counts {
         let allow = config.allow_for(rule, path);
         let allow_budget = allow.map_or(0, |a| a.max.unwrap_or(usize::MAX));
         let covered_by_allow = n.min(allow_budget);
         if let Some(a) = allow {
+            let entry = (a.rule.as_str(), a.path.as_str());
+            matched_allow_entries.insert(entry);
             if covered_by_allow > 0 {
-                used_allow_entries.insert((a.rule.clone(), a.path.clone()));
+                used_allow_entries.insert(entry);
             }
             if let Some(max) = a.max {
                 if n < max {
@@ -143,6 +149,14 @@ pub fn check(root: &Path, config: &Config) -> Result<CheckOutcome, String> {
         }
     }
     outcome.allow_entries_used = used_allow_entries.len();
+    for a in &config.allow {
+        if !matched_allow_entries.contains(&(a.rule.as_str(), a.path.as_str())) {
+            outcome.notes.push(format!(
+                "stale allow: {} in {} matches no finding — delete the entry from lint.toml",
+                a.rule, a.path
+            ));
+        }
+    }
     outcome.new_findings.sort();
     Ok(outcome)
 }
@@ -235,6 +249,25 @@ reason = "test fixture"
         assert_eq!(out.notes.len(), 1, "{:?}", out.notes);
         assert!(out.notes[0].contains("allow budget slack"));
         assert!(out.notes[0].contains("permits 2 but only 1"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_allow_entry_without_findings_surfaces_as_a_stale_note() {
+        let root = temp_root("stale");
+        write(&root, "src/allowed.rs", "fn f() {}\n");
+        let cfg = config::parse(&CONFIG.replace("max = 1", "max = 3")).unwrap();
+        let out = check(&root, &cfg).unwrap();
+        assert!(out.new_findings.is_empty());
+        assert_eq!(out.allow_entries_used, 0);
+        assert_eq!(
+            out.notes,
+            vec![
+                "stale allow: panic-surface in src/allowed.rs matches no finding — delete the \
+                 entry from lint.toml"
+                    .to_string()
+            ]
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -71,6 +71,8 @@ pub struct LifetimeMlBaseline {
     config: LifetimeModelConfig,
     encoder: FeatureEncoder,
     model: GradientBoostedTrees,
+    /// `config.bucket_midpoint(b)` for every bucket `b`, computed once.
+    midpoints: Vec<f64>,
 }
 
 impl LifetimeMlBaseline {
@@ -89,10 +91,14 @@ impl LifetimeMlBaseline {
             ..config.gbdt
         };
         let model = GradientBoostedTrees::train(&params, &data, None)?;
+        let midpoints = (0..config.num_buckets)
+            .map(|b| config.bucket_midpoint(b))
+            .collect();
         Ok(LifetimeMlBaseline {
             config,
             encoder,
             model,
+            midpoints,
         })
     }
 
@@ -102,12 +108,12 @@ impl LifetimeMlBaseline {
             .model
             .predict_proba(&self.encoder.encode(&job.features));
         let mut mean = 0.0;
-        for (bucket, p) in probs.iter().enumerate() {
-            mean += p * self.config.bucket_midpoint(bucket);
+        for (p, m) in probs.iter().zip(&self.midpoints) {
+            mean += p * m;
         }
         let mut var = 0.0;
-        for (bucket, p) in probs.iter().enumerate() {
-            let d = self.config.bucket_midpoint(bucket) - mean;
+        for (p, m) in probs.iter().zip(&self.midpoints) {
+            let d = m - mean;
             var += p * d * d;
         }
         (mean, var.sqrt())
@@ -173,6 +179,35 @@ mod tests {
             let (mean, std) = baseline.predict_lifetime(job);
             assert!(mean > 0.0 && mean.is_finite());
             assert!(std >= 0.0 && std.is_finite());
+        }
+    }
+
+    #[test]
+    fn cached_midpoints_predict_bit_identically() {
+        let trace = TraceGenerator::new(23).generate(&ClusterSpec::balanced(0), 14_400.0);
+        let baseline = LifetimeMlBaseline::train(config(), &trace).unwrap();
+        // The pre-cache computation: one `bucket_midpoint` call per bucket.
+        let reference = |job: &ShuffleJob| {
+            let probs = baseline
+                .model
+                .predict_proba(&baseline.encoder.encode(&job.features));
+            let mut mean = 0.0;
+            for (bucket, p) in probs.iter().enumerate() {
+                mean += p * baseline.config.bucket_midpoint(bucket);
+            }
+            let mut var = 0.0;
+            for (bucket, p) in probs.iter().enumerate() {
+                let d = baseline.config.bucket_midpoint(bucket) - mean;
+                var += p * d * d;
+            }
+            (mean, var.sqrt())
+        };
+        assert!(!trace.is_empty());
+        for job in trace.iter() {
+            let (mean, std) = baseline.predict_lifetime(job);
+            let (ref_mean, ref_std) = reference(job);
+            assert_eq!(mean.to_bits(), ref_mean.to_bits(), "job {:?}", job.id);
+            assert_eq!(std.to_bits(), ref_std.to_bits(), "job {:?}", job.id);
         }
     }
 

@@ -73,7 +73,8 @@
 //!   ([`GbdtParams::parallelism`](byom_gbdt::GbdtParams)).
 //! * `byom_bench::run_clusters_parallel` fans a per-cluster experiment
 //!   out, `byom_bench::run_quotas_parallel` sweeps the quota
-//!   operating points of one prepared context, and
+//!   operating points of one prepared context (training the
+//!   quota-independent ML baseline once for the whole sweep), and
 //!   `byom_bench::run_resilience_sweep` fans out its fault intensities —
 //!   each returns exactly what the sequential loop it replaces would.
 //! * [`exec::install`]`(n, f)` pins the budget for everything `f` does; the

@@ -214,14 +214,36 @@ fn cluster_fanout_matches_sequential_loop() {
 
 #[test]
 fn quota_fanout_matches_sequential_loop() {
+    // The sweep trains the ML baseline once under its whole budget and
+    // shares it across quotas; `run_all_methods` trains its own per quota.
     let ctx = ExperimentContext::prepare(ClusterSpec::balanced(32), quick_params());
     let quotas = [0.02, 0.1, 0.5];
     let sequential: Vec<_> = quotas
         .iter()
         .map(|&q| ctx.run_all_methods(q, true))
         .collect();
-    let parallel = run_quotas_parallel(&ctx, &quotas, true, 3);
-    assert_eq!(sequential, parallel);
+    for parallelism in [1, 2, 3] {
+        let parallel = run_quotas_parallel(&ctx, &quotas, true, parallelism);
+        assert_eq!(sequential, parallel, "parallelism={parallelism}");
+    }
+}
+
+#[test]
+fn one_quota_sweep_matches_run_all_methods() {
+    let ctx = ExperimentContext::prepare(ClusterSpec::balanced(37), quick_params());
+    for parallelism in [1, 2] {
+        assert_eq!(
+            run_quotas_parallel(&ctx, &[0.05], true, parallelism),
+            vec![ctx.run_all_methods(0.05, true)],
+            "parallelism={parallelism}"
+        );
+    }
+}
+
+#[test]
+fn empty_quota_sweep_returns_nothing() {
+    let ctx = ExperimentContext::prepare(ClusterSpec::balanced(38), quick_params());
+    assert!(run_quotas_parallel(&ctx, &[], true, 2).is_empty());
 }
 
 #[test]
