@@ -30,11 +30,11 @@ pub struct ExperimentParams {
     /// ([`run_clusters_parallel`], [`run_quotas_parallel`],
     /// `run_resilience_sweep`). It is one budget for the whole experiment
     /// rather than a per-level multiplier: each thread of a fan-out
-    /// (clusters × per-class trees × histogram fill) runs its share of it, so
-    /// no more than this many closures run at once. `0` means "inherit the
-    /// ambient budget" (`BYOM_THREADS` or all cores at top level); `1`
-    /// forces strictly sequential execution at every nesting level. Results
-    /// are bit-identical regardless of this setting.
+    /// (clusters × per-class trees) runs its share of it, so no more than
+    /// this many closures run at once; each tree fits on one thread. `0`
+    /// means "inherit the ambient budget" (`BYOM_THREADS` or all cores at
+    /// top level); `1` forces strictly sequential execution at every nesting
+    /// level. Results are bit-identical regardless of this setting.
     pub parallelism: usize,
 }
 
@@ -141,16 +141,16 @@ impl ExperimentContext {
 
     /// Run the clairvoyant oracle (as a playback policy) on the test trace.
     pub fn run_oracle(&self, quota_fraction: f64, objective: OracleObjective) -> SimulationResult {
+        let sim = self.simulator(quota_fraction);
         let costs = self.cost_model.cost_trace(&self.test);
-        let capacity = (self.test.peak_space_usage() as f64 * quota_fraction) as u64;
-        let solution = Oracle::new(objective, capacity).solve(&costs);
+        let solution = Oracle::new(objective, sim.config().ssd_capacity_bytes).solve(&costs);
         let ids: Vec<JobId> = self.test.iter().map(|j| j.id).collect();
         let name = match objective {
             OracleObjective::Tco => "Oracle TCO",
             OracleObjective::Tcio => "Oracle TCIO",
         };
         let mut policy = OraclePolicy::from_selection(name, &ids, &solution.on_ssd);
-        self.run_policy(quota_fraction, &mut policy)
+        sim.run(&self.test, &mut policy)
     }
 
     /// Run every compared method at the given quota and return one

@@ -3,9 +3,9 @@
 //! This is the row-major, rebuild-every-node split finder exactly as it
 //! shipped before the histogram engine (column-major bins, pooled buffers,
 //! sibling subtraction) replaced it. It is the workspace's one tree-fit
-//! reference: the equivalence tests require `Tree::fit` to choose the same
-//! splits as this implementation with leaf values equal up to float
-//! rounding, so the engine is anchored to real history instead of to
+//! reference: the equivalence tests require `Tree::fit_scored` to choose
+//! the same splits as this implementation with leaf values equal up to
+//! float rounding, so the engine is anchored to real history instead of to
 //! itself.
 //!
 //! Only the sequential path is preserved (the historical parallel search was

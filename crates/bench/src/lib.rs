@@ -21,5 +21,5 @@ pub mod resilience;
 pub use harness::{
     run_clusters_parallel, run_quotas_parallel, ExperimentContext, ExperimentParams, MethodResult,
 };
-pub use report::{print_table, Table};
+pub use report::Table;
 pub use resilience::{run_resilience_sweep, ResiliencePoint, ResilienceSweep};

@@ -67,11 +67,6 @@ impl Table {
     }
 }
 
-/// Render and print a table to stdout.
-pub fn print_table(table: &Table) {
-    print!("{}", table.render());
-}
-
 /// Format a float with two decimal places (helper for experiment binaries).
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")

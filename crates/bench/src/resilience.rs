@@ -8,7 +8,7 @@
 //! [`FaultPlan`].
 
 use crate::harness::{ExperimentContext, ExperimentParams};
-use byom_chaos::{attach_twin_delta, run_ladder, run_no_fallback, run_unfaulted, FaultPlan};
+use byom_chaos::{run_ladder, run_no_fallback, run_unfaulted, FaultPlan};
 use byom_exec::prelude::*;
 use byom_sim::SimulationResult;
 use byom_trace::ClusterSpec;
@@ -89,9 +89,9 @@ impl ResilienceSweep {
 }
 
 /// Run the resilience sweep: one unfaulted twin, then per intensity a
-/// ladder run and a no-fallback run under `FaultPlan::at_intensity(seed, i)`,
-/// each with its savings delta versus the twin recorded in the resilience
-/// report. Deterministic for a given context and seed.
+/// ladder run and a no-fallback run under `FaultPlan::at_intensity(seed, i)`.
+/// [`ResilienceSweep::retention_percent`] compares each run with the twin.
+/// Deterministic for a given context and seed.
 ///
 /// Intensities fan out in parallel under the context's thread budget:
 /// every point is a pure function of `(ctx, seed,
@@ -110,14 +110,10 @@ pub fn run_resilience_sweep(
         .with_max_threads(ctx.params.parallelism)
         .map(|&intensity| {
             let plan = FaultPlan::at_intensity(seed, intensity);
-            let mut ladder = run_ladder(&ctx.trained, &sim, &ctx.test, &plan);
-            attach_twin_delta(&mut ladder, &unfaulted);
-            let mut no_fallback = run_no_fallback(&ctx.trained, &sim, &ctx.test, &plan);
-            attach_twin_delta(&mut no_fallback, &unfaulted);
             ResiliencePoint {
                 intensity,
-                ladder,
-                no_fallback,
+                ladder: run_ladder(&ctx.trained, &sim, &ctx.test, &plan),
+                no_fallback: run_no_fallback(&ctx.trained, &sim, &ctx.test, &plan),
             }
         })
         .collect();

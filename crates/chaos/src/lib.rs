@@ -48,7 +48,7 @@ pub use device::FaultyDevice;
 pub use inject::{apply_trace_faults, TraceFaultCounts};
 pub use model::FaultyCategorizer;
 pub use plan::{BlackoutWindow, CapacityStep, DeviceFaults, FaultPlan, ModelFaults, TraceFaults};
-pub use run::{attach_twin_delta, run_ladder, run_no_fallback, run_unfaulted};
+pub use run::{run_ladder, run_no_fallback, run_unfaulted};
 
 /// Mix a plan seed, a job id, and a fault-surface salt into an RNG seed.
 ///

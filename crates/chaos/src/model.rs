@@ -47,11 +47,6 @@ impl<C: Categorizer> FaultyCategorizer<C> {
         }
     }
 
-    /// The wrapped categorizer.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
     /// Decisions requested while the model was blacked out.
     pub fn blackouts(&self) -> u64 {
         self.blackouts.get()

@@ -88,13 +88,6 @@ pub fn run_no_fallback(
     result
 }
 
-/// Record the faulted run's savings delta (percentage points of TCO savings)
-/// versus its unfaulted twin in the faulted result's resilience report.
-pub fn attach_twin_delta(faulted: &mut SimulationResult, unfaulted: &SimulationResult) {
-    faulted.resilience.savings_delta_percent =
-        faulted.tco_savings_percent() - unfaulted.tco_savings_percent();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,12 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn ladder_occupancy_and_twin_delta_are_reported() {
+    fn ladder_occupancy_is_reported() {
         let (trained, sim, test) = setup();
         let plan = FaultPlan::at_intensity(42, 1.0);
-        let unfaulted = run_unfaulted(&trained, &sim, &test);
-        let mut faulted = run_ladder(&trained, &sim, &test, &plan);
-        attach_twin_delta(&mut faulted, &unfaulted);
+        let faulted = run_ladder(&trained, &sim, &test, &plan);
         let occupancy = &faulted.resilience.fallback_occupancy;
         assert_eq!(occupancy.len(), byom_core::LADDER_RUNGS);
         assert_eq!(
@@ -162,10 +153,6 @@ mod tests {
         assert!(
             occupancy.iter().skip(1).sum::<u64>() > 0,
             "full-intensity faults push decisions off the model rung"
-        );
-        assert!(
-            faulted.resilience.savings_delta_percent.is_finite(),
-            "twin delta recorded"
         );
     }
 }

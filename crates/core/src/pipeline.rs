@@ -58,12 +58,11 @@ impl ByomPipelineBuilder {
     }
 
     /// Thread budget used while training the category model: the per-class
-    /// trees of each boosting round are fitted concurrently, and the
-    /// histogram fill inside each tree runs on its thread's share of the
-    /// same budget. `0` (the default) inherits the ambient budget
-    /// (`BYOM_THREADS` or all cores); `1` trains strictly sequentially at
-    /// every nesting level. The trained model is
-    /// bit-identical regardless of this setting.
+    /// trees of each boosting round are fitted concurrently, one thread per
+    /// tree, so a budget above the category count leaves threads idle. `0`
+    /// (the default) inherits the ambient budget (`BYOM_THREADS` or all
+    /// cores); `1` trains strictly sequentially at every nesting level. The
+    /// trained model is bit-identical regardless of this setting.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads;
         self
@@ -174,11 +173,6 @@ impl TrainedByom {
     /// The trained category model.
     pub fn model(&self) -> &CategoryModel {
         &self.model
-    }
-
-    /// The cost model used for labeling.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
     }
 }
 

@@ -73,11 +73,6 @@ impl CostModel {
         CostModel { rates }
     }
 
-    /// The rates this model was built from.
-    pub fn rates(&self) -> &CostRates {
-        &self.rates
-    }
-
     /// Full HDD TCO breakdown for a job.
     pub fn tco_hdd_breakdown(&self, job: &ShuffleJob) -> TcoBreakdown {
         tco_hdd(job, &self.rates)

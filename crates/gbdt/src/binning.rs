@@ -15,7 +15,6 @@ pub struct BinMapper {
     /// `edges[f]` holds the upper edges of feature `f`'s bins (sorted,
     /// exclusive of the last bin which is unbounded above).
     edges: Vec<Vec<f64>>,
-    max_bins: usize,
 }
 
 impl BinMapper {
@@ -54,7 +53,7 @@ impl BinMapper {
             };
             edges.push(feature_edges);
         }
-        BinMapper { edges, max_bins }
+        BinMapper { edges }
     }
 
     /// Number of features this mapper was fitted on.
@@ -65,11 +64,6 @@ impl BinMapper {
     /// Number of bins used for feature `f` (edges + 1).
     pub fn num_bins(&self, f: usize) -> usize {
         self.edges[f].len() + 1
-    }
-
-    /// The configured maximum number of bins per feature.
-    pub fn max_bins(&self) -> usize {
-        self.max_bins
     }
 
     /// The upper-edge value separating bin `b` from bin `b+1` of feature `f`.

@@ -210,7 +210,7 @@ mod tests {
                             .collect();
                         let hess: Vec<f64> =
                             (0..data.len()).map(|_| rng.gen_range(0.5..1.5)).collect();
-                        Tree::fit(&binned, &mapper, &grad, &hess, &rows, params)
+                        Tree::fit_scored(&binned, &mapper, &grad, &hess, &rows, params).tree
                     })
                     .collect()
             })

@@ -34,11 +34,11 @@ pub struct GbdtParams {
     /// RNG seed for row subsampling.
     pub seed: u64,
     /// Worker threads for training: the per-class trees of each boosting
-    /// round are fitted concurrently, and large nodes fill their histograms
-    /// in parallel on a thread's share of the budget (the split search
-    /// itself is sequential). `0` inherits the ambient `byom_exec` budget
-    /// and `1` recovers the fully sequential behavior. Any value produces
-    /// **bit-identical** models — parallelism never changes the result.
+    /// round are fitted concurrently, each on one thread, so at most
+    /// `num_classes` threads do work. `0` inherits the ambient `byom_exec`
+    /// budget and `1` recovers the fully sequential behavior. Any value
+    /// produces **bit-identical** models — parallelism never changes the
+    /// result.
     pub parallelism: usize,
 }
 
@@ -214,10 +214,10 @@ impl GradientBoostedTrees {
             // The per-class trees of one round are independent (their
             // gradients all derive from the probabilities computed at the
             // start of the round, and their score updates touch disjoint
-            // class columns), so classes fan out under `params.parallelism`;
-            // the histogram fill inside each tree runs on its
-            // thread's share of that budget rather than claiming a quota of
-            // its own. The result is bit-identical to sequential because each
+            // class columns), so classes fan out under `params.parallelism`.
+            // This is training's only level of parallelism: each tree fits on
+            // one thread, so a budget above `k` leaves its extra threads
+            // idle. The result is bit-identical to sequential because each
             // class's work is a pure function of the round-start
             // probabilities.
             let fitted: Vec<(Tree, Vec<f64>, Vec<f64>)> = (0..k)

@@ -1,20 +1,17 @@
-//! The histogram engine: row-major `u8` bins, pooled gradient histograms,
-//! and the LightGBM-style sibling-subtraction trick.
+//! The histogram engine: row-major `u8` bins, flat per-node gradient
+//! histograms, and the LightGBM-style sibling-subtraction trick.
 //!
 //! Histogram split finding spends nearly all of its time accumulating
-//! per-bin gradient statistics. This module makes that hot loop fast three
+//! per-bin gradient statistics. This module makes that hot loop fast two
 //! ways:
 //!
-//! * **Row-wise fill over `u8` bins** ([`BinnedMatrix`], [`fill_histogram`]):
+//! * **Row-wise fill over `u8` bins** ([`BinnedMatrix`], `fill_histogram`):
 //!   a row's bins for every feature are adjacent bytes, so a node's
 //!   histogram fills in one pass over its rows. Each row's gradient, hessian
 //!   and bins are read once and added to that row's bin in every feature
 //!   (LightGBM's row-wise mode). A node's rows arrive in shuffled sample
 //!   order, so a per-feature pass would read its column at random anyway.
-//! * **Buffer pooling** ([`HistogramPool`]): per-node histograms are
-//!   recycled across nodes, so a depth-6 tree allocates a handful of
-//!   buffers instead of one per feature per node.
-//! * **Sibling subtraction** ([`subtract_sibling`]): a node's histogram is
+//! * **Sibling subtraction** (`subtract_sibling`): a node's histogram is
 //!   the bin-wise sum of its children's, so after building the histogram of
 //!   the *smaller* child the sibling comes from `parent − child` in
 //!   `O(bins)` instead of `O(rows)` — roughly halving histogram work per
@@ -22,19 +19,15 @@
 //!
 //! # Determinism
 //!
-//! Every bin adds up the node's rows in partition order, whichever thread
-//! fills it, so the accumulated floats are bit-identical for any thread
-//! count ([`fill_histogram`] gives each thread a contiguous block of
-//! features and copies the blocks back in feature order). Subtraction is a
-//! fixed bin-order pass on the calling thread, so a fit is fully
-//! deterministic. It differs from rebuilding every node's histogram from its
-//! rows (the pre-engine algorithm) by float rounding only, because
-//! subtraction changes the accumulation order.
+//! A tree fit runs on one thread; training's only parallelism is the
+//! per-class fan-out of each boosting round. Every bin adds up the node's
+//! rows in partition order, and subtraction is a fixed bin-order pass, so a
+//! fit is fully deterministic. It differs from rebuilding every node's
+//! histogram from its rows (the pre-engine algorithm) by float rounding
+//! only, because subtraction changes the accumulation order.
 
 use crate::binning::BinMapper;
 use crate::dataset::Dataset;
-use byom_exec::prelude::*;
-use std::ops::Range;
 
 /// Row-major matrix of per-feature bin indices, one byte each.
 ///
@@ -96,8 +89,8 @@ impl BinnedMatrix {
 }
 
 /// One histogram bin: first/second-order gradient sums and a row count.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct HistBin {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct HistBin {
     /// Sum of first-order gradients of the rows in this bin.
     pub grad: f64,
     /// Sum of second-order gradients (hessians) of the rows in this bin.
@@ -107,8 +100,8 @@ pub struct HistBin {
 }
 
 /// Per-feature offsets into a flat all-features histogram buffer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeatureLayout {
+#[derive(Debug)]
+pub(crate) struct FeatureLayout {
     /// `offsets[f]..offsets[f + 1]` is feature `f`'s bin range; the final
     /// entry is the total bin count.
     offsets: Vec<usize>,
@@ -145,70 +138,13 @@ impl FeatureLayout {
     }
 }
 
-/// A reuse pool of flat per-node histogram buffers.
-///
-/// Growing a tree depth-first holds at most one histogram per level on the
-/// recursion path (plus the one being built), so the pool keeps the number
-/// of live buffers proportional to `max_depth` instead of the node count.
-#[derive(Debug)]
-pub struct HistogramPool {
-    layout: FeatureLayout,
-    free: Vec<Vec<HistBin>>,
-    allocated: usize,
-}
-
-impl HistogramPool {
-    /// A pool producing buffers shaped for `layout`.
-    pub fn new(layout: FeatureLayout) -> Self {
-        HistogramPool {
-            layout,
-            free: Vec::new(),
-            allocated: 0,
-        }
-    }
-
-    /// The bin layout buffers from this pool follow.
-    pub fn layout(&self) -> &FeatureLayout {
-        &self.layout
-    }
-
-    /// A zeroed buffer of `layout.total_bins()` bins, recycled when possible.
-    pub fn acquire(&mut self) -> Vec<HistBin> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                buf.iter_mut().for_each(|b| *b = HistBin::default());
-                buf
-            }
-            None => {
-                self.allocated += 1;
-                vec![HistBin::default(); self.layout.total_bins()]
-            }
-        }
-    }
-
-    /// Return a buffer for reuse by a later [`HistogramPool::acquire`].
-    pub fn release(&mut self, buf: Vec<HistBin>) {
-        if buf.len() == self.layout.total_bins() {
-            self.free.push(buf);
-        }
-    }
-
-    /// Total buffers ever allocated (telemetry: tests pin that a depth-`d`
-    /// tree allocates `O(d)` buffers, not one per node).
-    pub fn buffers_allocated(&self) -> usize {
-        self.allocated
-    }
-}
-
-/// Add the gradient statistics of `rows` to the bins of the contiguous
-/// feature block `features`, walking rows in the order given so every bin's
-/// float accumulation order is fixed. `offsets[j]` is where feature
-/// `features.start + j` starts in `out` (entries past the block are
-/// ignored).
-fn fill_rows(
-    out: &mut [HistBin],
-    offsets: &[usize],
-    features: Range<usize>,
+/// Fill the flat histogram `hist` (shaped by `layout`) with the gradient
+/// statistics of `rows`, in one pass over the rows of the [`BinnedMatrix`].
+/// Rows are walked in the order given, so every bin's float accumulation
+/// order is fixed by the caller's partition.
+pub(crate) fn fill_histogram(
+    hist: &mut [HistBin],
+    layout: &FeatureLayout,
     binned: &BinnedMatrix,
     grad: &[f64],
     hess: &[f64],
@@ -218,9 +154,8 @@ fn fill_rows(
         let (Some(&g), Some(&h)) = (grad.get(i), hess.get(i)) else {
             continue;
         };
-        let bins = binned.row(i).get(features.clone()).unwrap_or(&[]);
-        for (&b, &offset) in bins.iter().zip(offsets) {
-            if let Some(slot) = out.get_mut(offset + usize::from(b)) {
+        for (&b, &offset) in binned.row(i).iter().zip(&layout.offsets) {
+            if let Some(slot) = hist.get_mut(offset + usize::from(b)) {
                 slot.grad += g;
                 slot.hess += h;
                 slot.count += 1;
@@ -229,78 +164,11 @@ fn fill_rows(
     }
 }
 
-/// Below this many rows the fill runs sequentially even when parallelism is
-/// enabled: the histogram work is too small to amortize the cost of fanning
-/// out across threads (deep nodes dominate the node count but not the
-/// runtime).
-pub const PARALLEL_FILL_MIN_ROWS: usize = 512;
-
-/// Fill the flat histogram `hist` (shaped by `layout`) with the gradient
-/// statistics of `rows`, in one pass over the rows of the [`BinnedMatrix`].
-///
-/// With `parallelism > 1` and enough rows, the features are split into one
-/// contiguous block per thread; each thread fills its block row by row into
-/// a buffer of its own, and the blocks are copied back in feature order.
-/// Every bin still adds up `rows` in the order given, so the result is
-/// **bit-identical** to the sequential fill.
-pub fn fill_histogram(
-    hist: &mut [HistBin],
-    layout: &FeatureLayout,
-    binned: &BinnedMatrix,
-    grad: &[f64],
-    hess: &[f64],
-    rows: &[usize],
-    parallelism: usize,
-) {
-    let num_features = layout.num_features();
-    if parallelism > 1 && rows.len() >= PARALLEL_FILL_MIN_ROWS && num_features > 1 {
-        let width = parallelism.min(num_features);
-        let blocks: Vec<Vec<HistBin>> = (0..width)
-            .into_par_iter()
-            .with_max_threads(parallelism)
-            .map(|p| {
-                let features = p * num_features / width..(p + 1) * num_features / width;
-                // The block's feature offsets, rebased to its own buffer; the
-                // last entry is the block's bin count.
-                let bounds = layout
-                    .offsets
-                    .get(features.start..=features.end)
-                    .unwrap_or(&[]);
-                let base = bounds.first().copied().unwrap_or(0);
-                let offsets: Vec<usize> = bounds.iter().map(|&o| o - base).collect();
-                let mut out = vec![HistBin::default(); offsets.last().copied().unwrap_or(0)];
-                fill_rows(&mut out, &offsets, features, binned, grad, hess, rows);
-                out
-            })
-            .collect();
-        // Copy back in feature order: copying preserves every bit, so the
-        // buffer contents match the sequential branch exactly.
-        let mut start = 0;
-        for block in blocks {
-            let end = start + block.len();
-            if let Some(slice) = hist.get_mut(start..end) {
-                slice.copy_from_slice(&block);
-            }
-            start = end;
-        }
-    } else {
-        fill_rows(
-            hist,
-            &layout.offsets,
-            0..num_features,
-            binned,
-            grad,
-            hess,
-            rows,
-        );
-    }
-}
-
 /// Derive the sibling histogram in place: `parent` becomes `parent − child`
 /// bin by bin (the histogram the sibling's rows would produce, up to float
 /// rounding). A fixed-order single-threaded pass, so the result is
 /// deterministic for deterministic inputs.
-pub fn subtract_sibling(parent: &mut [HistBin], child: &[HistBin]) {
+pub(crate) fn subtract_sibling(parent: &mut [HistBin], child: &[HistBin]) {
     for (p, c) in parent.iter_mut().zip(child) {
         p.grad -= c.grad;
         p.hess -= c.hess;
@@ -356,21 +224,6 @@ mod tests {
         assert!(layout.feature_range(7).is_empty());
     }
 
-    #[test]
-    fn pool_recycles_buffers() {
-        let d = dataset();
-        let m = BinMapper::fit(&d, 8);
-        let mut pool = HistogramPool::new(FeatureLayout::from_mapper(&m));
-        let a = pool.acquire();
-        let b = pool.acquire();
-        assert_eq!(pool.buffers_allocated(), 2);
-        pool.release(a);
-        pool.release(b);
-        let c = pool.acquire();
-        assert_eq!(pool.buffers_allocated(), 2, "reuse, not allocate");
-        assert!(c.iter().all(|b| b == &HistBin::default()), "zeroed");
-    }
-
     /// The per-feature fill the row-wise engine replaced: one pass over
     /// `rows` per feature, in feature order.
     fn per_feature_fill(
@@ -403,11 +256,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_is_bit_identical_to_sequential() {
+    fn row_wise_fill_is_bit_identical_to_per_feature_fill() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // Features with 1, 2, 3, 4 and 5 bins, then two with 64: seven
-        // features split unevenly into three blocks.
+        // Features with 1, 2, 3, 4 and 5 bins, then two with 64.
         let n = 300;
         let rows: Vec<Vec<f64>> = (0..n)
             .map(|i| {
@@ -431,21 +283,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let grad: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let hess: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..1.0)).collect();
-        // Shuffled row indices with repeats, past the parallel row gate.
+        // Shuffled row indices, some repeated: the fill must add the rows
+        // in exactly the order given.
         let sample: Vec<usize> = (0..1500).map(|_| rng.gen_range(0..n)).collect();
-        assert!(sample.len() >= PARALLEL_FILL_MIN_ROWS);
-        let reference = per_feature_fill(&layout, &binned, &grad, &hess, &sample);
-        for budget in [1, 2, 3, 8] {
-            let mut hist = vec![HistBin::default(); layout.total_bins()];
-            fill_histogram(&mut hist, &layout, &binned, &grad, &hess, &sample, budget);
-            assert_bits_equal(&format!("budget {budget}"), &hist, &reference);
-        }
-        // Below the row gate every budget takes the sequential branch.
-        let few = &sample[..40];
         let mut hist = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut hist, &layout, &binned, &grad, &hess, few, 3);
-        let reference = per_feature_fill(&layout, &binned, &grad, &hess, few);
-        assert_bits_equal("40 rows", &hist, &reference);
+        fill_histogram(&mut hist, &layout, &binned, &grad, &hess, &sample);
+        let reference = per_feature_fill(&layout, &binned, &grad, &hess, &sample);
+        assert_bits_equal("1500 shuffled rows", &hist, &reference);
     }
 
     #[test]
@@ -459,11 +303,11 @@ mod tests {
         let all: Vec<usize> = (0..40).collect();
         let (left, right) = all.split_at(17);
         let mut parent = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut parent, &layout, &binned, &grad, &hess, &all, 1);
+        fill_histogram(&mut parent, &layout, &binned, &grad, &hess, &all);
         let mut left_hist = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut left_hist, &layout, &binned, &grad, &hess, left, 1);
+        fill_histogram(&mut left_hist, &layout, &binned, &grad, &hess, left);
         let mut right_hist = vec![HistBin::default(); layout.total_bins()];
-        fill_histogram(&mut right_hist, &layout, &binned, &grad, &hess, right, 1);
+        fill_histogram(&mut right_hist, &layout, &binned, &grad, &hess, right);
         subtract_sibling(&mut parent, &left_hist);
         for (derived, rebuilt) in parent.iter().zip(&right_hist) {
             assert_eq!(derived.count, rebuilt.count);

@@ -49,7 +49,7 @@ pub use binning::BinMapper;
 pub use dataset::Dataset;
 pub use error::GbdtError;
 pub use gbm::{GbdtParams, GradientBoostedTrees, TrainReport};
-pub use histogram::{BinnedMatrix, FeatureLayout, HistBin, HistogramPool};
+pub use histogram::BinnedMatrix;
 pub use importance::auc_drop_importance;
-pub use metrics::{accuracy, binary_auc, confusion_matrix, log_loss, top_k_accuracy};
+pub use metrics::{accuracy, binary_auc, log_loss, top_k_accuracy};
 pub use tree::{Node, ScoredFit, Tree, TreeParams};

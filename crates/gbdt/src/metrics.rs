@@ -1,5 +1,5 @@
-//! Classification metrics: accuracy, top-k accuracy, binary ROC AUC, log
-//! loss, and confusion matrices.
+//! Classification metrics: accuracy, top-k accuracy, binary ROC AUC and log
+//! loss.
 
 /// Top-1 accuracy of predicted class labels against true labels.
 ///
@@ -100,24 +100,6 @@ pub fn log_loss(probabilities: &[f64], num_classes: usize, truth: &[usize]) -> f
     total / truth.len() as f64
 }
 
-/// Confusion matrix: `matrix[true][predicted]` counts.
-///
-/// # Panics
-/// Panics if the slices differ in length or a label is `>= num_classes`.
-pub fn confusion_matrix(
-    predicted: &[usize],
-    truth: &[usize],
-    num_classes: usize,
-) -> Vec<Vec<usize>> {
-    assert_eq!(predicted.len(), truth.len(), "length mismatch");
-    let mut m = vec![vec![0usize; num_classes]; num_classes];
-    for (&p, &t) in predicted.iter().zip(truth) {
-        assert!(p < num_classes && t < num_classes, "label out of range");
-        m[t][p] += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,16 +167,6 @@ mod tests {
     #[should_panic(expected = "outside probability row")]
     fn log_loss_rejects_a_label_past_the_row() {
         let _ = log_loss(&[0.5, 0.5], 2, &[2]);
-    }
-
-    #[test]
-    fn confusion_matrix_counts() {
-        let m = confusion_matrix(&[0, 1, 1, 2], &[0, 1, 2, 2], 3);
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[1][1], 1);
-        assert_eq!(m[2][1], 1);
-        assert_eq!(m[2][2], 1);
-        assert_eq!(m.iter().flatten().sum::<usize>(), 4);
     }
 
     #[test]

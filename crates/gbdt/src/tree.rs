@@ -5,13 +5,12 @@
 //! values use the standard second-order (Newton) estimate `-G / (H + λ)`.
 //!
 //! The histogram hot path runs on the engine in [`crate::histogram`]:
-//! row-wise fills over row-major `u8` bins, pooled buffers, and the sibling
-//! subtraction trick — see that module for the determinism contract.
+//! row-wise fills over row-major `u8` bins and the sibling subtraction
+//! trick. A fit runs on the calling thread — see that module for the
+//! determinism contract.
 
 use crate::binning::BinMapper;
-use crate::histogram::{
-    fill_histogram, subtract_sibling, BinnedMatrix, FeatureLayout, HistBin, HistogramPool,
-};
+use crate::histogram::{fill_histogram, subtract_sibling, BinnedMatrix, FeatureLayout, HistBin};
 
 /// Hyperparameters of a single tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,9 +87,22 @@ struct FitContext<'a> {
     grad: &'a [f64],
     hess: &'a [f64],
     params: TreeParams,
-    /// Worker threads for the per-node histogram fill (the ambient budget
-    /// at the start of the fit; 1 = sequential).
-    parallelism: usize,
+}
+
+impl FitContext<'_> {
+    /// A fresh histogram filled from `rows`.
+    fn histogram_of(&self, rows: &[usize]) -> Vec<HistBin> {
+        let mut hist = vec![HistBin::default(); self.layout.total_bins()];
+        fill_histogram(
+            &mut hist,
+            &self.layout,
+            self.binned,
+            self.grad,
+            self.hess,
+            rows,
+        );
+        hist
+    }
 }
 
 struct BestSplit {
@@ -101,39 +113,19 @@ struct BestSplit {
 
 impl Tree {
     /// Fit a tree to the gradient/hessian statistics of the rows listed in
-    /// `rows`.
+    /// `rows`, and return it with the fitted leaf value of **every** row of
+    /// `binned` (not just `rows`).
     ///
     /// * `binned` is the row-major bin matrix produced by
     ///   [`BinMapper::bin_dataset`].
     /// * `grad`/`hess` are per-row first/second order derivatives of the loss.
     ///
-    /// Large nodes fill their histograms in parallel under the ambient
-    /// `byom_exec` thread budget, each thread taking a contiguous block of
-    /// features (`byom_exec::install(1, ..)` makes the fit strictly
-    /// sequential). The split search itself is sequential. The result is
-    /// **bit-identical** for any budget: every histogram bin adds up the
-    /// node's rows in partition order whichever thread fills it, and the
-    /// blocks are copied back in feature order, so no float accumulation
-    /// order depends on the thread count or schedule.
+    /// The rows of `rows` take their leaf from the partition the fit
+    /// computes anyway; the rows outside it are carried through the same
+    /// splits in a second index partition. See [`ScoredFit`].
     ///
-    /// # Panics
-    /// Panics if `rows` is empty or the inputs disagree on the number of rows.
-    pub fn fit(
-        binned: &BinnedMatrix,
-        mapper: &BinMapper,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        params: TreeParams,
-    ) -> Tree {
-        Self::fit_impl(binned, mapper, grad, hess, rows, params, false).tree
-    }
-
-    /// Like [`Tree::fit`], but additionally returning the fitted leaf value
-    /// of **every** row of `binned` (not just `rows`). The rows of `rows`
-    /// take their leaf from the partition the fit computes anyway; the rows
-    /// outside it are carried through the same splits in a second index
-    /// partition. See [`ScoredFit`].
+    /// The fit runs on the calling thread, and every histogram bin adds up
+    /// the node's rows in partition order, so the result is deterministic.
     ///
     /// # Panics
     /// Panics if `rows` is empty or the inputs disagree on the number of rows.
@@ -145,18 +137,6 @@ impl Tree {
         rows: &[usize],
         params: TreeParams,
     ) -> ScoredFit {
-        Self::fit_impl(binned, mapper, grad, hess, rows, params, true)
-    }
-
-    fn fit_impl(
-        binned: &BinnedMatrix,
-        mapper: &BinMapper,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        params: TreeParams,
-        score_all_rows: bool,
-    ) -> ScoredFit {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
         assert_eq!(grad.len(), hess.len(), "grad and hess must be parallel");
         assert_eq!(
@@ -164,40 +144,32 @@ impl Tree {
             grad.len(),
             "binned matrix shape mismatch"
         );
-        let layout = FeatureLayout::from_mapper(mapper);
-        let mut pool = HistogramPool::new(layout.clone());
         let ctx = FitContext {
             binned,
             mapper,
-            layout,
+            layout: FeatureLayout::from_mapper(mapper),
             grad,
             hess,
             params,
-            parallelism: byom_exec::current_num_threads(),
         };
         let mut tree = Tree { nodes: Vec::new() };
         let mut rows_owned: Vec<usize> = rows.to_vec();
         // Only the rows outside the sample need a partition of their own:
         // the sampled rows' leaves follow from `rows_owned`.
-        let (mut tracked, mut row_values) = if score_all_rows {
-            let mut in_sample = vec![false; binned.num_rows()];
-            for &i in rows {
-                if let Some(flag) = in_sample.get_mut(i) {
-                    *flag = true;
-                }
+        let mut in_sample = vec![false; binned.num_rows()];
+        for &i in rows {
+            if let Some(flag) = in_sample.get_mut(i) {
+                *flag = true;
             }
-            let out_of_sample = in_sample
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &sampled)| (!sampled).then_some(i))
-                .collect();
-            (out_of_sample, vec![0.0; binned.num_rows()])
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        }
+        let mut tracked: Vec<usize> = in_sample
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &sampled)| (!sampled).then_some(i))
+            .collect();
+        let mut row_values = vec![0.0; binned.num_rows()];
         tree.build_node(
             &ctx,
-            &mut pool,
             &mut rows_owned,
             &mut tracked,
             None,
@@ -212,13 +184,11 @@ impl Tree {
     /// `hist` is this node's histogram when the parent already produced it;
     /// `None` means "build from `rows` if a split will actually be
     /// searched" (only the root builds its own). `tracked` carries the
-    /// partition of the rows outside the sample for [`Tree::fit_scored`]
-    /// (empty when not scoring, or when every row is in the sample).
-    #[allow(clippy::too_many_arguments)]
+    /// partition of the rows outside the sample (empty when every row is in
+    /// the sample).
     fn build_node(
         &mut self,
         ctx: &FitContext<'_>,
-        pool: &mut HistogramPool,
         rows: &mut [usize],
         tracked: &mut [usize],
         hist: Option<Vec<HistBin>>,
@@ -245,34 +215,15 @@ impl Tree {
 
         if depth >= ctx.params.max_depth || rows.len() < 2 * ctx.params.min_samples_leaf {
             Self::record_leaf(rows, tracked, leaf_value, row_values);
-            if let Some(h) = hist {
-                pool.release(h);
-            }
             return node_idx;
         }
 
         // This node's histogram: handed down by the parent, or built from
-        // this node's rows (feature blocks in parallel for large nodes).
-        let mut hist = match hist {
-            Some(h) => h,
-            None => {
-                let mut h = pool.acquire();
-                fill_histogram(
-                    &mut h,
-                    &ctx.layout,
-                    ctx.binned,
-                    ctx.grad,
-                    ctx.hess,
-                    rows,
-                    ctx.parallelism,
-                );
-                h
-            }
-        };
+        // this node's rows.
+        let mut hist = hist.unwrap_or_else(|| ctx.histogram_of(rows));
 
         let Some(best) = Self::best_split(ctx, &hist, rows.len(), g_sum, h_sum) else {
             Self::record_leaf(rows, tracked, leaf_value, row_values);
-            pool.release(hist);
             return node_idx;
         };
 
@@ -287,7 +238,6 @@ impl Tree {
             || rows.len() - split_point < ctx.params.min_samples_leaf
         {
             Self::record_leaf(rows, tracked, leaf_value, row_values);
-            pool.release(hist);
             return node_idx;
         }
         let tracked_split = Self::partition(tracked, ctx.binned, best.feature, best.bin);
@@ -301,46 +251,25 @@ impl Tree {
         let left_splits = Self::may_split(ctx, left_rows.len(), depth + 1);
         let right_splits = Self::may_split(ctx, right_rows.len(), depth + 1);
         let (left_hist, right_hist) = if !left_splits && !right_splits {
-            pool.release(hist);
             (None, None)
         } else {
-            let (small_rows, small_is_left) = if left_rows.len() <= right_rows.len() {
-                (&*left_rows, true)
+            let small_is_left = left_rows.len() <= right_rows.len();
+            let small = ctx.histogram_of(if small_is_left {
+                &*left_rows
             } else {
-                (&*right_rows, false)
-            };
-            let mut small = pool.acquire();
-            fill_histogram(
-                &mut small,
-                &ctx.layout,
-                ctx.binned,
-                ctx.grad,
-                ctx.hess,
-                small_rows,
-                ctx.parallelism,
-            );
+                &*right_rows
+            });
             subtract_sibling(&mut hist, &small);
-            let (mut lh, mut rh) = if small_is_left {
-                (Some(small), Some(hist))
+            let (lh, rh) = if small_is_left {
+                (small, hist)
             } else {
-                (Some(hist), Some(small))
+                (hist, small)
             };
-            if !left_splits {
-                if let Some(h) = lh.take() {
-                    pool.release(h);
-                }
-            }
-            if !right_splits {
-                if let Some(h) = rh.take() {
-                    pool.release(h);
-                }
-            }
-            (lh, rh)
+            (left_splits.then_some(lh), right_splits.then_some(rh))
         };
 
         let left_idx = self.build_node(
             ctx,
-            pool,
             left_rows,
             left_tracked,
             left_hist,
@@ -349,7 +278,6 @@ impl Tree {
         );
         let right_idx = self.build_node(
             ctx,
-            pool,
             right_rows,
             right_tracked,
             right_hist,
@@ -396,11 +324,8 @@ impl Tree {
     }
 
     /// Record `value` as the fitted leaf value of the leaf's sampled and
-    /// tracked rows (a no-op unless [`Tree::fit_scored`] is scoring).
+    /// tracked rows.
     fn record_leaf(rows: &[usize], tracked: &[usize], value: f64, row_values: &mut [f64]) {
-        if row_values.is_empty() {
-            return;
-        }
         for &i in rows.iter().chain(tracked) {
             if let Some(slot) = row_values.get_mut(i) {
                 *slot = value;
@@ -538,7 +463,7 @@ mod tests {
         let grad: Vec<f64> = ys.iter().map(|y| -y).collect();
         let hess = vec![1.0; ys.len()];
         let rows: Vec<usize> = (0..ys.len()).collect();
-        let tree = Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
+        let tree = Tree::fit_scored(&binned, &mapper, &grad, &hess, &rows, params).tree;
         (tree, data)
     }
 
@@ -706,6 +631,6 @@ mod tests {
         let data = Dataset::from_rows(vec![vec![1.0]], vec![0]).unwrap();
         let mapper = BinMapper::fit(&data, 8);
         let binned = mapper.bin_dataset(&data);
-        let _ = Tree::fit(&binned, &mapper, &[0.0], &[1.0], &[], TreeParams::default());
+        let _ = Tree::fit_scored(&binned, &mapper, &[0.0], &[1.0], &[], TreeParams::default());
     }
 }

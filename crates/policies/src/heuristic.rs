@@ -37,8 +37,9 @@ impl Default for HeuristicConfig {
 #[derive(Debug, Clone, Copy, Default)]
 struct CategoryStats {
     total_savings: f64,
-    /// Mean footprint × number of observations: a proxy for the category's
-    /// space demand over the observation period.
+    /// Running mean of the category's job footprints (bytes): the space
+    /// one of its jobs is expected to take when the admission set is
+    /// rebuilt against the SSD budget.
     mean_space: f64,
     observations: u64,
 }

@@ -37,10 +37,6 @@ pub struct ResilienceReport {
     /// Placement decisions made by each rung of the degradation ladder
     /// (model, hash, heuristic, first-fit). Empty for non-ladder policies.
     pub fallback_occupancy: Vec<u64>,
-    /// TCO-savings delta (percentage points) of this run versus its
-    /// unfaulted twin run. Zero when no twin was computed or no savings were
-    /// lost.
-    pub savings_delta_percent: f64,
 }
 
 impl ResilienceReport {
@@ -168,7 +164,6 @@ mod tests {
             admission_outages: 100, // outages are not themselves fault events
             admission_failures: 8,
             fallback_occupancy: vec![1, 2, 3, 4],
-            savings_delta_percent: -1.5,
         };
         assert_eq!(report.faults_injected(), 36);
         assert_eq!(ResilienceReport::default().faults_injected(), 0);

@@ -13,8 +13,8 @@
 //!
 //! * [`SegmentTree`]: a lazy range-add / range-max segment tree used to check
 //!   and update SSD occupancy over time efficiently;
-//! * [`Oracle`]: a density-greedy solver with an optional local-improvement
-//!   pass, suitable for traces with tens of thousands of jobs;
+//! * [`Oracle`]: a greedy solver that keeps the best of three admission
+//!   orderings, suitable for traces with tens of thousands of jobs;
 //! * [`exact::solve_exact`]: an exact branch-and-bound solver for small
 //!   instances, used in tests to bound the greedy solver's optimality gap.
 //!

@@ -5,15 +5,14 @@
 //! exceeding the capacity. Values are either TCO savings (`Oracle TCO`) or
 //! TCIO-seconds removed from HDDs (`Oracle TCIO`).
 //!
-//! The solver is a high-quality heuristic for the NP-hard problem:
-//!
-//! 1. **Density greedy**: jobs are considered in decreasing order of
-//!    value per SSD byte-second (the LP-relaxation dual-price ordering) and
-//!    admitted if they fit under the capacity across their whole lifetime.
-//! 2. **Local improvement**: a second pass retries skipped jobs after all
-//!    admissions, catching cases where capacity freed up (this is cheap and
-//!    closes most of the residual gap on small instances; tests compare
-//!    against the exact branch-and-bound solver).
+//! The solver is a greedy heuristic for the NP-hard problem: jobs are
+//! considered one at a time and admitted if they fit under the capacity
+//! across their whole lifetime. It runs that pass under three orderings —
+//! decreasing value per SSD byte-second (the LP-relaxation dual-price
+//! ordering), decreasing absolute value, and smallest footprint first — and
+//! keeps the best. An admitted job is never removed, so occupancy only grows:
+//! a job that does not fit when its turn comes would not fit later either.
+//! Tests bound the remaining gap against the exact branch-and-bound solver.
 
 use crate::segment_tree::SegmentTree;
 use crate::timeline::Timeline;
@@ -74,16 +73,6 @@ impl Oracle {
         }
     }
 
-    /// The configured objective.
-    pub fn objective(&self) -> OracleObjective {
-        self.objective
-    }
-
-    /// The configured capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
     /// Solve the placement problem for `jobs`. The result indexes jobs in
     /// their input order. Jobs with non-positive value are never selected.
     ///
@@ -132,37 +121,18 @@ impl Oracle {
             let mut occupancy = SegmentTree::new(timeline.num_segments());
             let mut on_ssd = vec![false; jobs.len()];
             let mut total_value = 0.0;
-            let mut skipped: Vec<usize> = Vec::new();
-
-            let try_admit = |i: usize,
-                             occupancy: &mut SegmentTree,
-                             on_ssd: &mut Vec<bool>,
-                             total_value: &mut f64|
-             -> bool {
+            for &i in &order {
                 let job = &jobs[i];
                 let (lo, hi) = timeline.segment_range(job);
                 if lo >= hi {
-                    return false;
+                    continue;
                 }
                 let current = occupancy.range_max(lo, hi).max(0.0);
                 if current + job.size_bytes as f64 <= capacity {
                     occupancy.range_add(lo, hi, job.size_bytes as f64);
                     on_ssd[i] = true;
-                    *total_value += self.objective.value(job);
-                    true
-                } else {
-                    false
+                    total_value += self.objective.value(job);
                 }
-            };
-
-            for &i in &order {
-                if !try_admit(i, &mut occupancy, &mut on_ssd, &mut total_value) {
-                    skipped.push(i);
-                }
-            }
-            // Local improvement: retry skipped jobs once more in the same order.
-            for &i in &skipped {
-                let _ = try_admit(i, &mut occupancy, &mut on_ssd, &mut total_value);
             }
 
             let solution = OracleSolution {
@@ -184,20 +154,6 @@ impl Oracle {
             total_value: 0.0,
             peak_occupancy: 0,
         })
-    }
-
-    /// Sweep the oracle across several capacities (expressed in bytes),
-    /// returning one solution per capacity. Used for Figure 4 and for the
-    /// oracle curves of Figure 7.
-    pub fn sweep(
-        objective: OracleObjective,
-        capacities: &[u64],
-        jobs: &[JobCost],
-    ) -> Vec<OracleSolution> {
-        capacities
-            .iter()
-            .map(|&c| Oracle::new(objective, c).solve(jobs))
-            .collect()
     }
 }
 
@@ -318,14 +274,5 @@ mod tests {
             );
             last = s.total_value;
         }
-    }
-
-    #[test]
-    fn sweep_returns_one_solution_per_capacity() {
-        let jobs = vec![job(0, 0.0, 10.0, 10, 5.0, 1.0)];
-        let sols = Oracle::sweep(OracleObjective::Tco, &[0, 5, 20], &jobs);
-        assert_eq!(sols.len(), 3);
-        assert_eq!(sols[0].num_on_ssd(), 0);
-        assert_eq!(sols[2].num_on_ssd(), 1);
     }
 }

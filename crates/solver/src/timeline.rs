@@ -58,11 +58,6 @@ impl Timeline {
         }
         .min(self.num_segments())
     }
-
-    /// The event times defining the segments.
-    pub fn events(&self) -> &[f64] {
-        &self.events
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +82,7 @@ mod tests {
     fn builds_sorted_unique_events() {
         let jobs = vec![job(0, 0.0, 10.0), job(1, 5.0, 5.0), job(2, 0.0, 10.0)];
         let t = Timeline::new(&jobs);
-        assert_eq!(t.events(), &[0.0, 5.0, 10.0]);
+        assert_eq!(t.events, [0.0, 5.0, 10.0]);
         assert_eq!(t.num_segments(), 2);
     }
 

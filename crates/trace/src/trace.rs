@@ -83,15 +83,6 @@ impl Trace {
         self.jobs.iter().map(|j| j.size_bytes).sum()
     }
 
-    /// Return sub-traces `(before, after)` split at time `t`: jobs arriving
-    /// strictly before `t` and jobs arriving at or after `t`. Used for the
-    /// paper's one-week-train / one-week-test protocol.
-    pub fn split_at(&self, t: f64) -> (Trace, Trace) {
-        let (before, after): (Vec<_>, Vec<_>) =
-            self.jobs.iter().cloned().partition(|j| j.arrival < t);
-        (Trace { jobs: before }, Trace { jobs: after })
-    }
-
     /// Keep only jobs satisfying the predicate.
     pub fn filter<F: Fn(&ShuffleJob) -> bool>(&self, pred: F) -> Trace {
         Trace {
@@ -119,12 +110,6 @@ impl Trace {
             f(job, &mut out);
         }
         Trace::new(out)
-    }
-
-    /// Merge several traces into one, re-sorting by arrival.
-    pub fn merge<I: IntoIterator<Item = Trace>>(traces: I) -> Trace {
-        let jobs: Vec<ShuffleJob> = traces.into_iter().flat_map(|t| t.jobs).collect();
-        Trace::new(jobs)
     }
 }
 
@@ -213,28 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn split_at_partitions_by_arrival() {
-        let t = Trace::new(vec![
-            job(0, 1.0, 1.0, 1),
-            job(1, 5.0, 1.0, 1),
-            job(2, 9.0, 1.0, 1),
-        ]);
-        let (a, b) = t.split_at(5.0);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn filter_and_merge() {
+    fn filter_keeps_matching_jobs() {
         let t = Trace::new(vec![job(0, 1.0, 1.0, 10), job(1, 2.0, 1.0, 20)]);
         let big = t.filter(|j| j.size_bytes >= 20);
         assert_eq!(big.len(), 1);
-        let merged = Trace::merge([t.clone(), big]);
-        assert_eq!(merged.len(), 3);
-        assert!(merged
-            .jobs()
-            .windows(2)
-            .all(|w| w[0].arrival <= w[1].arrival));
+        assert_eq!(big.jobs()[0].id, JobId(1));
     }
 
     #[test]

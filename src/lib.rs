@@ -50,11 +50,11 @@
 //! ## Running experiments in parallel
 //!
 //! All parallelism goes through one parallel map ([`exec`]): every layer —
-//! per-class tree fitting, histogram fills split into feature blocks,
-//! cluster/quota sweeps, the resilience sweep — runs on the calling thread
-//! plus scoped threads that end with the call. Each of those threads runs its closures
-//! under an equal share of the call's budget, so nested fan-outs share a
-//! **single thread budget** rather than multiplying:
+//! per-class tree fitting, cluster/quota sweeps, the resilience sweep —
+//! runs on the calling thread plus scoped threads that end with the call.
+//! Each of those threads runs its closures under an equal share of the
+//! call's budget, so nested fan-outs share a **single thread budget**
+//! rather than multiplying:
 //!
 //! * `0` = inherit the ambient budget (`BYOM_THREADS` if set, otherwise all
 //!   available cores),
@@ -68,9 +68,9 @@
 //!
 //! * [`ByomPipeline`](byom_core::ByomPipeline) takes a
 //!   `.parallelism(n)` builder knob; the per-class trees of each boosting
-//!   round are fitted concurrently and large tree nodes fill their
-//!   histograms one contiguous block of features per thread
-//!   ([`GbdtParams::parallelism`](byom_gbdt::GbdtParams)).
+//!   round are fitted concurrently, one thread per tree
+//!   ([`GbdtParams::parallelism`](byom_gbdt::GbdtParams)), so training uses
+//!   at most as many threads as the model has classes.
 //! * `byom_bench::run_clusters_parallel` fans a per-cluster experiment
 //!   out, `byom_bench::run_quotas_parallel` sweeps the quota
 //!   operating points of one prepared context (training the
@@ -109,10 +109,10 @@
 //! are pre-binned into a row-major `u8`
 //! [`BinnedMatrix`](byom_gbdt::BinnedMatrix) so a node's histogram fills in
 //! one pass over its rows, each row adding its gradient statistics to its
-//! bin in every feature; per-node buffers are pooled, and each split builds
-//! only the smaller child's histogram and derives the sibling as
-//! `parent − child`. Fits are bit-identical across thread counts
-//! and repeated runs. Against the pre-engine algorithm, frozen in
+//! bin in every feature, and each split builds only the smaller child's
+//! histogram and derives the sibling as `parent − child`. Each tree fits on
+//! one thread, so fits are bit-identical across thread counts and repeated
+//! runs. Against the pre-engine algorithm, frozen in
 //! `byom_bench::legacy_tree`, they choose the same splits, and leaf values
 //! differ only in the last ULPs because subtraction changes the float
 //! accumulation order.

@@ -11,8 +11,8 @@ use byom_gbdt::Tree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A synthetic multi-class dataset large enough to cross the parallel
-/// histogram fill's row threshold at the root.
+/// A seeded synthetic multi-class dataset whose label depends on two
+/// features plus noise.
 fn synthetic_dataset(n: usize, num_features: usize, k: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rows = Vec::with_capacity(n);
@@ -42,7 +42,9 @@ fn gbdt_training_is_identical_for_any_parallelism() {
         ..Default::default()
     };
     let sequential = GradientBoostedTrees::train(&base, &train, Some(&valid)).unwrap();
-    for threads in [2, 4, 0] {
+    // 8 is above the class count: each class's tree still fits on one
+    // thread, and the spare threads idle.
+    for threads in [2, 4, 8, 0] {
         let params = GbdtParams {
             parallelism: threads,
             ..base
@@ -60,63 +62,6 @@ fn gbdt_training_is_identical_for_any_parallelism() {
     }
 }
 
-#[test]
-fn tree_fit_is_identical_for_any_parallelism() {
-    let data = synthetic_dataset(2000, 8, 2, 12);
-    let mapper = byom_gbdt::BinMapper::fit(&data, 64);
-    let binned = mapper.bin_dataset(&data);
-    let mut rng = StdRng::seed_from_u64(13);
-    let grad: Vec<f64> = (0..data.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let hess: Vec<f64> = (0..data.len()).map(|_| rng.gen_range(0.1..1.0)).collect();
-    let rows: Vec<usize> = (0..data.len()).collect();
-    let params = byom_gbdt::TreeParams::default();
-    let fit = || Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
-    let sequential = byom::exec::install(1, fit);
-    // 3 splits the 8 features into uneven blocks.
-    for threads in [2, 3, 4, 0] {
-        let parallel = byom::exec::install(threads, fit);
-        assert_eq!(
-            sequential, parallel,
-            "tree diverged at parallelism={threads}"
-        );
-    }
-}
-
-/// Gradient/hessian fixtures for the single-tree histogram-engine tests.
-fn tree_fixture(
-    n: usize,
-    num_features: usize,
-    seed: u64,
-) -> (Dataset, byom_gbdt::BinMapper, Vec<f64>, Vec<f64>) {
-    let data = synthetic_dataset(n, num_features, 3, seed);
-    let mapper = byom_gbdt::BinMapper::fit(&data, 64);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-    let grad: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let hess: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..1.0)).collect();
-    (data, mapper, grad, hess)
-}
-
-#[test]
-fn subtraction_mode_is_bit_identical_across_thread_counts_and_runs() {
-    let (data, mapper, grad, hess) = tree_fixture(2500, 8, 20);
-    let binned = mapper.bin_dataset(&data);
-    let rows: Vec<usize> = (0..data.len()).collect();
-    let params = byom_gbdt::TreeParams::default();
-    let fit = || Tree::fit(&binned, &mapper, &grad, &hess, &rows, params);
-    let reference = byom::exec::install(1, fit);
-    for threads in [1, 2, 3, 8] {
-        // Repeated runs at each thread count: which thread fills which
-        // feature block varies from run to run, the fitted tree must not.
-        for run in 0..3 {
-            let tree = byom::exec::install(threads, fit);
-            assert_eq!(
-                reference, tree,
-                "subtraction fit diverged at parallelism={threads}, run {run}"
-            );
-        }
-    }
-}
-
 /// Fit one tree with the histogram engine and one with the frozen
 /// pre-engine algorithm (`legacy_tree`, which rebuilds every node's
 /// histogram from its rows) and require the same splits — features,
@@ -129,7 +74,7 @@ fn assert_engine_matches_legacy(case: &str, data: &Dataset, grad: &[f64], hess: 
     let row_major = legacy_tree::bin_dataset_row_major(&mapper, data);
     let rows: Vec<usize> = (0..data.len()).collect();
     let params = byom_gbdt::TreeParams::default();
-    let engine = Tree::fit(&binned, &mapper, grad, hess, &rows, params);
+    let engine = Tree::fit_scored(&binned, &mapper, grad, hess, &rows, params).tree;
     let legacy = legacy_tree::fit_legacy(
         &row_major,
         data.num_features(),
