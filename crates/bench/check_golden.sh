@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Run fig binaries in quick mode (BYOM_BENCH_QUICK=1) and diff their stdout
-# against the committed golden files in crates/bench/golden/<bin>.txt.
+# Run fig binaries with BYOM_BENCH_QUICK=1 and diff their stdout against the
+# committed golden files in crates/bench/golden/<bin>.txt. Only fig_resilience
+# reads BYOM_BENCH_QUICK (it shrinks that sweep); every other golden is a
+# full-size run.
 #
 #   crates/bench/check_golden.sh [<bin>...]          # exit 1 on any difference
 #   crates/bench/check_golden.sh --bless [<bin>...]  # rewrite the golden files

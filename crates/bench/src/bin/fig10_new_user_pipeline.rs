@@ -8,7 +8,7 @@
 
 use byom_bench::report::f2;
 use byom_bench::{ExperimentContext, ExperimentParams, Table};
-use byom_core::ByomPipeline;
+use byom_core::{AdaptiveConfig, AdaptivePolicy, ByomPipeline};
 use byom_trace::{ClusterSpec, Trace};
 use std::collections::BTreeMap;
 
@@ -48,15 +48,14 @@ fn savings_with_and_without(
         .train(&without, &ctx.cost_model)
         .expect("training without entity succeeds");
 
+    let predictions = [&with_model, &without_model].map(|t| t.model().predict_trace(&ctx.test));
     quotas
         .iter()
         .map(|&q| {
-            let a = ctx
-                .run_policy(q, &mut with_model.adaptive_ranking_policy())
-                .tco_savings_percent();
-            let b = ctx
-                .run_policy(q, &mut without_model.adaptive_ranking_policy())
-                .tco_savings_percent();
+            let [a, b] = predictions.each_ref().map(|p| {
+                let mut ranking = AdaptivePolicy::new(p.clone(), AdaptiveConfig::default());
+                ctx.run_policy(q, &mut ranking).tco_savings_percent()
+            });
             (q, a, b)
         })
         .collect()

@@ -8,10 +8,12 @@
 
 use byom_bench::report::f2;
 use byom_bench::{ExperimentContext, Table};
+use byom_core::{AdaptiveConfig, AdaptivePolicy};
 
 fn main() {
     let ctx = ExperimentContext::default_cluster();
     let quotas = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0];
+    let predictions = ctx.trained.model().predict_trace(&ctx.test);
 
     let mut table = Table::new(
         "Figure 11: TCO savings % — predicted vs true category",
@@ -22,9 +24,8 @@ fn main() {
         ],
     );
     for quota in quotas {
-        let predicted = ctx
-            .run_policy(quota, &mut ctx.trained.adaptive_ranking_policy())
-            .tco_savings_percent();
+        let mut ranking = AdaptivePolicy::new(predictions.clone(), AdaptiveConfig::default());
+        let predicted = ctx.run_policy(quota, &mut ranking).tco_savings_percent();
         let truth = ctx
             .run_policy(quota, &mut ctx.trained.true_category_policy())
             .tco_savings_percent();

@@ -7,6 +7,7 @@
 
 use byom_bench::report::f2;
 use byom_bench::{ExperimentContext, ExperimentParams, Table};
+use byom_core::{AdaptiveConfig, AdaptivePolicy};
 use byom_trace::ClusterSpec;
 
 fn main() {
@@ -15,9 +16,10 @@ fn main() {
         ..ExperimentParams::default()
     };
     let ctx = ExperimentContext::prepare(ClusterSpec::balanced(0), params);
+    let predictions = ctx.trained.model().predict_trace(&ctx.test);
 
     for quota in [0.0001, 0.01, 0.1, 0.5] {
-        let mut policy = ctx.trained.adaptive_ranking_policy();
+        let mut policy = AdaptivePolicy::new(predictions.clone(), AdaptiveConfig::default());
         let result = ctx.run_policy(quota, &mut policy);
         let trace = policy.adaptation_trace();
         let mut table = Table::new(

@@ -1,6 +1,6 @@
 //! Experiment setup and the compared-methods runner.
 
-use byom_core::{ByomPipeline, TrainedByom};
+use byom_core::{AdaptiveConfig, AdaptivePolicy, ByomPipeline, Predictions, TrainedByom};
 use byom_cost::{CostModel, CostRates};
 use byom_exec::prelude::*;
 use byom_policies::{
@@ -141,7 +141,11 @@ impl ExperimentContext {
 
     /// Run the clairvoyant oracle (as a playback policy) on the test trace.
     pub fn run_oracle(&self, quota_fraction: f64, objective: OracleObjective) -> SimulationResult {
-        let sim = self.simulator(quota_fraction);
+        self.run_oracle_on(&self.simulator(quota_fraction), objective)
+    }
+
+    /// Solve the oracle at `sim`'s quota and replay it through `sim`.
+    fn run_oracle_on(&self, sim: &Simulator, objective: OracleObjective) -> SimulationResult {
         let costs = self.cost_model.cost_trace(&self.test);
         let solution = Oracle::new(objective, sim.config().ssd_capacity_bytes).solve(&costs);
         let ids: Vec<JobId> = self.test.iter().map(|j| j.id).collect();
@@ -159,12 +163,22 @@ impl ExperimentContext {
     /// `include_oracles` controls whether the clairvoyant bounds are included
     /// (they are the slowest part for large traces). Everything runs under
     /// `params.parallelism`, so a budget of 1 is strictly sequential at every
-    /// nesting level. To sweep several quotas, call [`run_quotas_parallel`]:
-    /// it trains the ML baseline once for all of them.
+    /// nesting level. It trains the ML baseline and predicts each test job
+    /// once, then replays from those predictions. To sweep several quotas,
+    /// call [`run_quotas_parallel`]: it does that once for all of them.
     pub fn run_all_methods(&self, quota_fraction: f64, include_oracles: bool) -> Vec<MethodResult> {
         byom_exec::install(self.params.parallelism, || {
-            self.run_methods_with(quota_fraction, include_oracles, &self.train_ml_baseline())
+            self.run_methods_with(quota_fraction, include_oracles, &self.predict_test())
         })
+    }
+
+    /// Train the ML baseline and predict every test job once with it and
+    /// with the category model. None of it depends on the quota.
+    fn predict_test(&self) -> TestPredictions {
+        TestPredictions {
+            ml_baseline: self.train_ml_baseline().playback(&self.test),
+            ranking: self.trained.model().predict_trace(&self.test),
+        }
     }
 
     /// Train the ML lifetime baseline. It reads only the training trace and
@@ -182,34 +196,32 @@ impl ExperimentContext {
             .expect("lifetime baseline training should succeed")
     }
 
-    /// Every compared method at one quota, with the ML baseline replayed
-    /// from a clone of `ml_baseline`.
+    /// Every compared method at one quota, through one simulator. The ML
+    /// baseline and Adaptive Ranking replay `predictions`; Adaptive Ranking
+    /// runs Algorithm 1 with the settings of
+    /// [`TrainedByom::adaptive_ranking_policy`].
     fn run_methods_with(
         &self,
         quota_fraction: f64,
         include_oracles: bool,
-        ml_baseline: &LifetimeMlBaseline,
+        predictions: &TestPredictions,
     ) -> Vec<MethodResult> {
-        let mut results = Vec::new();
-
-        let mut first_fit = FirstFit::new();
-        results.push(self.to_result(self.run_policy(quota_fraction, &mut first_fit)));
-
-        let mut heuristic = CategoryHeuristic::default();
-        results.push(self.to_result(self.run_policy(quota_fraction, &mut heuristic)));
-
-        let mut ml_baseline = ml_baseline.clone();
-        results.push(self.to_result(self.run_policy(quota_fraction, &mut ml_baseline)));
-
-        let mut hash = self.trained.adaptive_hash_policy();
-        results.push(self.to_result(self.run_policy(quota_fraction, &mut hash)));
-
-        let mut ranking = self.trained.adaptive_ranking_policy();
-        results.push(self.to_result(self.run_policy(quota_fraction, &mut ranking)));
-
+        let sim = self.simulator(quota_fraction);
+        let run = |policy: &mut dyn PlacementPolicy| self.to_result(sim.run(&self.test, policy));
+        let mut results = vec![
+            run(&mut FirstFit::new()),
+            run(&mut CategoryHeuristic::default()),
+            run(&mut predictions.ml_baseline.clone()),
+            run(&mut self.trained.adaptive_hash_policy()),
+            run(&mut AdaptivePolicy::new(
+                predictions.ranking.clone(),
+                AdaptiveConfig::default(),
+            )),
+        ];
         if include_oracles {
-            results.push(self.to_result(self.run_oracle(quota_fraction, OracleObjective::Tcio)));
-            results.push(self.to_result(self.run_oracle(quota_fraction, OracleObjective::Tco)));
+            for objective in [OracleObjective::Tcio, OracleObjective::Tco] {
+                results.push(self.to_result(self.run_oracle_on(&sim, objective)));
+            }
         }
         results
     }
@@ -222,6 +234,13 @@ impl ExperimentContext {
             tcio_savings_percent: result.tcio_savings_percent(),
         }
     }
+}
+
+/// The quota-independent inputs of the compared methods: the ML baseline's
+/// admissions and the category model's predictions on the test trace.
+struct TestPredictions {
+    ml_baseline: OraclePolicy,
+    ranking: Predictions,
 }
 
 /// Evaluate `run` for every cluster spec on up to `parallelism` threads
@@ -250,9 +269,10 @@ where
 /// `Vec<MethodResult>` per quota, in quota order — identical to calling
 /// [`ExperimentContext::run_all_methods`] in a loop.
 ///
-/// The ML baseline does not depend on the quota, so the sweep trains it
-/// once, on its whole budget, before fanning out; each quota replays a
-/// clone. An empty `quotas` slice trains nothing.
+/// The ML baseline and both models' predictions do not depend on the
+/// quota, so the sweep trains the baseline and predicts each test job once,
+/// on its whole budget, before fanning out; each quota replays from those
+/// predictions. An empty `quotas` slice trains and predicts nothing.
 pub fn run_quotas_parallel(
     ctx: &ExperimentContext,
     quotas: &[f64],
@@ -262,15 +282,15 @@ pub fn run_quotas_parallel(
     if quotas.is_empty() {
         return Vec::new();
     }
-    let ml_baseline = byom_exec::install(ctx.params.parallelism, || {
-        byom_exec::install(parallelism, || ctx.train_ml_baseline())
+    let predictions = byom_exec::install(ctx.params.parallelism, || {
+        byom_exec::install(parallelism, || ctx.predict_test())
     });
     quotas
         .par_iter()
         .with_max_threads(parallelism)
         .map(|&q| {
             byom_exec::install(ctx.params.parallelism, || {
-                ctx.run_methods_with(q, include_oracles, &ml_baseline)
+                ctx.run_methods_with(q, include_oracles, &predictions)
             })
         })
         .collect()

@@ -3,7 +3,8 @@
 //!
 //! Each reproduced table and figure of the paper has a binary in `src/bin/`
 //! named after it (`fig07_quota_sweep` is Figure 7, `tab04_category_count`
-//! is Table 4), and `golden/` holds each binary's quick-mode output. They
+//! is Table 4), and `golden/` holds each binary's output (`fig_resilience`'s
+//! at its `BYOM_BENCH_QUICK=1` size, every other one at full size). They
 //! all build on the helpers in this crate: generating train/test traces,
 //! training a BYOM deployment, and running the full set of compared methods
 //! (FirstFit, Heuristic, ML Baseline, Adaptive Hash, Adaptive Ranking, Oracle

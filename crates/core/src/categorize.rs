@@ -10,6 +10,10 @@
 //!   identity;
 //! * [`TrueCategoryOracle`] — replays the ground-truth category computed from
 //!   the job's measured cost, used for Figure 11's "True category" line.
+//!
+//! [`Predictions`](crate::model::Predictions) replays a category model's
+//! answers on one trace from a table, so the experiments that replay a model
+//! many times predict each job once.
 
 use crate::labels::CategoryLabeler;
 use byom_cost::CostModel;

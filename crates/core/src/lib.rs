@@ -61,6 +61,6 @@ pub use adaptive::{AdaptiveConfig, AdaptiveSelector, FeedbackSignal};
 pub use categorize::{Categorizer, HashCategorizer, TrueCategoryOracle};
 pub use labels::CategoryLabeler;
 pub use ladder::{HealthTracker, LadderConfig, LadderPolicy, LADDER_RUNGS, RUNG_NAMES};
-pub use model::{CategoryModel, CategoryModelConfig, ModelEvaluation};
+pub use model::{CategoryModel, CategoryModelConfig, ModelEvaluation, Predictions};
 pub use pipeline::{ByomPipeline, ByomPipelineBuilder, TrainedByom};
 pub use policy::AdaptivePolicy;

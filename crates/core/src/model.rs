@@ -5,15 +5,25 @@
 //! that predicts a job's importance-ranking category. The paper trains one
 //! model per cluster (jointly over that cluster's workloads); nothing in this
 //! API prevents finer or coarser granularity.
+//!
+//! A prediction depends only on the model and the job's pre-execution
+//! features, so an experiment that replays one model on one trace many
+//! times predicts every job once with [`CategoryModel::predict_trace`] and
+//! replays from the resulting [`Predictions`].
 
 use crate::categorize::Categorizer;
 use crate::labels::CategoryLabeler;
 use byom_cost::JobCost;
+use byom_exec::prelude::*;
 use byom_gbdt::{
     auc_drop_importance, importance::group_importance, top_k_accuracy, Dataset, GbdtError,
     GbdtParams, GradientBoostedTrees,
 };
-use byom_trace::{FeatureEncoder, FeatureGroup, JobFeatures, ShuffleJob, Trace};
+use byom_trace::{FeatureEncoder, FeatureGroup, JobFeatures, JobId, ShuffleJob, Trace};
+use std::collections::BTreeMap;
+
+/// The categorizer name of a category model and of its [`Predictions`].
+const NAME: &str = "Ranking";
 
 /// Configuration for training a [`CategoryModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,6 +126,30 @@ impl CategoryModel {
         self.model.predict_proba(&self.encoder.encode(features))
     }
 
+    /// Predict every job of `trace` once, in parallel under the ambient
+    /// `byom_exec` budget. The returned [`Predictions`] answer, for each job
+    /// of `trace`, exactly what this model's [`Categorizer`] methods answer.
+    pub fn predict_trace(&self, trace: &Trace) -> Predictions {
+        let by_job = trace
+            .jobs()
+            .par_iter()
+            .map(|job| {
+                let (category, proba) = self
+                    .model
+                    .predict_with_proba(&self.encoder.encode(&job.features));
+                let prediction = Prediction {
+                    category,
+                    most_likely: most_likely(&proba),
+                };
+                (job.id, prediction)
+            })
+            .collect();
+        Predictions {
+            num_categories: self.num_categories,
+            by_job,
+        }
+    }
+
     /// Evaluate top-1/top-3 accuracy on a labelled test trace.
     ///
     /// # Panics
@@ -206,7 +240,7 @@ impl CategoryModel {
 
 impl Categorizer for CategoryModel {
     fn name(&self) -> &str {
-        "Ranking"
+        NAME
     }
 
     fn categorize(&self, job: &ShuffleJob) -> Option<usize> {
@@ -214,10 +248,48 @@ impl Categorizer for CategoryModel {
     }
 
     fn categorize_with_confidence(&self, job: &ShuffleJob) -> Option<(usize, f64)> {
-        let proba = self.predict_proba(&job.features);
-        let category = argmax(&proba);
-        let confidence = proba.get(category).copied().unwrap_or(0.0);
-        Some((category, confidence))
+        Some(most_likely(&self.predict_proba(&job.features)))
+    }
+
+    fn num_categories(&self) -> usize {
+        self.num_categories
+    }
+}
+
+/// One job's answers under a [`CategoryModel`].
+#[derive(Debug, Clone)]
+struct Prediction {
+    /// What [`Categorizer::categorize`] answers.
+    category: usize,
+    /// What [`Categorizer::categorize_with_confidence`] answers.
+    most_likely: (usize, f64),
+}
+
+/// A category model's answers for every job of one trace, computed once by
+/// [`CategoryModel::predict_trace`] and looked up by [`JobId`].
+///
+/// As a [`Categorizer`] it carries the model's name and category count, so
+/// an [`AdaptivePolicy`](crate::policy::AdaptivePolicy) over it is named
+/// "Adaptive Ranking" and replays that trace exactly as one over the model
+/// would. A job that is not in the table answers `None`; it is never
+/// predicted afresh.
+#[derive(Debug, Clone)]
+pub struct Predictions {
+    num_categories: usize,
+    by_job: BTreeMap<JobId, Prediction>,
+}
+
+impl Categorizer for Predictions {
+    fn name(&self) -> &str {
+        NAME
+    }
+
+    fn categorize(&self, job: &ShuffleJob) -> Option<usize> {
+        self.by_job.get(&job.id).map(|p| p.category)
+    }
+
+    fn categorize_with_confidence(&self, job: &ShuffleJob) -> Option<(usize, f64)> {
+        self.by_job.get(&job.id).map(|p| p.most_likely)
     }
 
     fn num_categories(&self) -> usize {
@@ -241,6 +313,13 @@ fn argmax(v: &[f64]) -> usize {
         .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
         .unwrap_or(0)
+}
+
+/// The most likely category of a predicted distribution and its
+/// probability.
+fn most_likely(proba: &[f64]) -> (usize, f64) {
+    let category = argmax(proba);
+    (category, proba.get(category).copied().unwrap_or(0.0))
 }
 
 fn rand_seed(seed: u64) -> impl rand::Rng {
@@ -330,6 +409,38 @@ mod tests {
         }
         assert_eq!(Categorizer::num_categories(&model), 4);
         assert_eq!(model.name(), "Ranking");
+    }
+
+    #[test]
+    fn predictions_answer_what_the_model_answers() {
+        let (trace, costs, labeler) = setup(49, 4.0, 5);
+        let model = CategoryModel::train(&small_config(5), &trace, &costs, &labeler).unwrap();
+        let (test, _, _) = setup(50, 2.0, 5);
+        let predictions = model.predict_trace(&test);
+        assert!(!test.is_empty());
+        for job in test.iter() {
+            assert_eq!(predictions.categorize(job), model.categorize(job));
+            let (category, confidence) = predictions.categorize_with_confidence(job).unwrap();
+            let (live_category, live_confidence) = model.categorize_with_confidence(job).unwrap();
+            assert_eq!(category, live_category, "job {:?}", job.id);
+            assert_eq!(
+                confidence.to_bits(),
+                live_confidence.to_bits(),
+                "job {:?}",
+                job.id
+            );
+        }
+        assert_eq!(predictions.name(), model.name());
+        assert_eq!(
+            Categorizer::num_categories(&predictions),
+            Categorizer::num_categories(&model)
+        );
+        // The training trace runs longer, so its last job's id is not in
+        // the test trace's table.
+        let unseen = trace.jobs().last().unwrap();
+        assert!(unseen.id.0 >= test.len() as u64);
+        assert_eq!(predictions.categorize(unseen), None);
+        assert_eq!(predictions.categorize_with_confidence(unseen), None);
     }
 
     #[test]

@@ -15,16 +15,6 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// A job fully placed on HDD.
-    pub fn hdd() -> Self {
-        Placement { ssd_fraction: 0.0 }
-    }
-
-    /// A job fully placed on SSD.
-    pub fn ssd() -> Self {
-        Placement { ssd_fraction: 1.0 }
-    }
-
     /// A job partially placed on SSD (e.g. after spillover).
     ///
     /// # Panics
@@ -129,7 +119,7 @@ mod tests {
     #[test]
     fn all_hdd_gives_zero_savings() {
         let costs = vec![cost(2.0, 1.0, 0.5); 4];
-        let placements = vec![Placement::hdd(); 4];
+        let placements = vec![Placement::partial(0.0); 4];
         let s = savings_summary(&costs, &placements);
         assert_eq!(s.tco_savings_percent(), 0.0);
         assert_eq!(s.tcio_savings_percent(), 0.0);
@@ -140,7 +130,7 @@ mod tests {
     #[test]
     fn all_ssd_with_positive_savings() {
         let costs = vec![cost(2.0, 1.0, 0.5); 4];
-        let placements = vec![Placement::ssd(); 4];
+        let placements = vec![Placement::partial(1.0); 4];
         let s = savings_summary(&costs, &placements);
         assert!((s.tco_savings_percent() - 50.0).abs() < 1e-9);
         assert!((s.tcio_savings_percent() - 100.0).abs() < 1e-9);
@@ -150,7 +140,7 @@ mod tests {
     #[test]
     fn ssd_placement_of_negative_savings_job_hurts_tco_but_helps_tcio() {
         let costs = vec![cost(1.0, 3.0, 0.5)];
-        let s = savings_summary(&costs, &[Placement::ssd()]);
+        let s = savings_summary(&costs, &[Placement::partial(1.0)]);
         assert!(s.tco_savings_percent() < 0.0);
         assert!(s.tcio_savings_percent() > 0.0);
     }
@@ -184,8 +174,8 @@ mod tests {
 
     #[test]
     fn placement_constructors() {
-        assert_eq!(Placement::hdd().ssd_fraction, 0.0);
-        assert_eq!(Placement::ssd().ssd_fraction, 1.0);
+        assert_eq!(Placement::partial(0.0).ssd_fraction, 0.0);
+        assert_eq!(Placement::partial(1.0).ssd_fraction, 1.0);
         assert_eq!(Placement::partial(0.5).ssd_fraction, 0.5);
     }
 }

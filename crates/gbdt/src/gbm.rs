@@ -354,6 +354,17 @@ impl GradientBoostedTrees {
         argmax(&p)
     }
 
+    /// What [`predict`](Self::predict) and
+    /// [`predict_proba`](Self::predict_proba) return for one feature row —
+    /// the argmax of the raw scores and their softmax — from one walk of the
+    /// forest.
+    pub fn predict_with_proba(&self, row: &[f64]) -> (usize, Vec<f64>) {
+        let raw = self.predict_raw(row);
+        let mut probs = vec![0.0; raw.len()];
+        softmax_into(&raw, &mut probs, self.num_classes);
+        (argmax(&raw), probs)
+    }
+
     /// Most likely class for one feature row, checked.
     ///
     /// # Errors
@@ -606,6 +617,24 @@ mod tests {
         let row = train.row(0);
         assert_eq!(model.try_predict(row).unwrap(), model.predict(row));
         assert_eq!(model.try_predict_raw(row).unwrap(), model.predict_raw(row));
+    }
+
+    #[test]
+    fn one_walk_answers_what_predict_and_predict_proba_answer() {
+        let train = three_class_data(200, 12);
+        let params = GbdtParams {
+            num_classes: 3,
+            num_trees: 8,
+            ..Default::default()
+        };
+        let model = GradientBoostedTrees::train(&params, &train, None).unwrap();
+        for i in 0..train.len() {
+            let row = train.row(i);
+            assert_eq!(
+                model.predict_with_proba(row),
+                (model.predict(row), model.predict_proba(row))
+            );
+        }
     }
 
     #[test]

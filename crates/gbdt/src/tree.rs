@@ -422,7 +422,8 @@ impl Tree {
     }
 
     /// Maximum depth of the fitted tree (root = 0; empty tree = 0).
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         fn depth_of(nodes: &[Node], idx: usize) -> usize {
             match nodes.get(idx) {
                 None => 0,

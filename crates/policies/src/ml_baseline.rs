@@ -7,12 +7,15 @@
 //! HDD. We realize the distribution prediction with the same GBDT substrate
 //! used elsewhere: lifetimes are bucketed into logarithmically spaced classes
 //! and the classifier's class distribution yields `μ` and `σ` over bucket
-//! midpoints.
+//! midpoints. A prediction depends only on the job's features, so
+//! [`LifetimeMlBaseline::playback`] predicts a trace once for experiments
+//! that replay it at several quotas.
 
+use crate::oracle_policy::OraclePolicy;
 use byom_cost::JobCost;
 use byom_gbdt::{Dataset, GbdtError, GbdtParams, GradientBoostedTrees};
 use byom_sim::{Device, PlacementPolicy, SystemState};
-use byom_trace::{FeatureEncoder, ShuffleJob, Trace};
+use byom_trace::{FeatureEncoder, JobId, ShuffleJob, Trace};
 
 /// Configuration of the lifetime-prediction baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,6 +121,22 @@ impl LifetimeMlBaseline {
         }
         (mean, var.sqrt())
     }
+
+    /// The baseline's admission rule: SSD if the job's predicted `μ + σ`
+    /// lifetime is at most the TTL.
+    fn admits(&self, job: &ShuffleJob) -> bool {
+        let (mean, std) = self.predict_lifetime(job);
+        mean + std <= self.config.ttl_secs
+    }
+
+    /// Predict every job of `trace` once and return a policy, named like
+    /// this one, that replays the admissions: on `trace` it places every
+    /// job where [`place`](PlacementPolicy::place) would.
+    pub fn playback(&self, trace: &Trace) -> OraclePolicy {
+        let ids: Vec<JobId> = trace.iter().map(|job| job.id).collect();
+        let admitted: Vec<bool> = trace.iter().map(|job| self.admits(job)).collect();
+        OraclePolicy::from_selection(self.name(), &ids, &admitted)
+    }
 }
 
 impl PlacementPolicy for LifetimeMlBaseline {
@@ -126,8 +145,7 @@ impl PlacementPolicy for LifetimeMlBaseline {
     }
 
     fn place(&mut self, job: &ShuffleJob, _cost: &JobCost, _state: &SystemState) -> Device {
-        let (mean, std) = self.predict_lifetime(job);
-        if mean + std <= self.config.ttl_secs {
+        if self.admits(job) {
             Device::Ssd
         } else {
             Device::Hdd
@@ -208,6 +226,28 @@ mod tests {
             let (ref_mean, ref_std) = reference(job);
             assert_eq!(mean.to_bits(), ref_mean.to_bits(), "job {:?}", job.id);
             assert_eq!(std.to_bits(), ref_std.to_bits(), "job {:?}", job.id);
+        }
+    }
+
+    #[test]
+    fn playback_replays_what_the_live_policy_places() {
+        use byom_cost::{CostModel, CostRates};
+        use byom_sim::{SimConfig, Simulator};
+        let train = TraceGenerator::new(24).generate(&ClusterSpec::balanced(0), 14_400.0);
+        let test = TraceGenerator::new(25).generate(&ClusterSpec::balanced(0), 7_200.0);
+        let baseline = LifetimeMlBaseline::train(config(), &train).unwrap();
+        let playback = baseline.playback(&test);
+        assert!(!test.is_empty());
+        for quota in [0.01, 0.05, 1.0] {
+            let sim = Simulator::new(
+                SimConfig::try_from_quota_fraction(&test, quota).unwrap(),
+                CostModel::new(CostRates::default()),
+            );
+            assert_eq!(
+                sim.run(&test, &mut playback.clone()),
+                sim.run(&test, &mut baseline.clone()),
+                "quota {quota}"
+            );
         }
     }
 

@@ -1,9 +1,11 @@
-//! A playback policy for precomputed (e.g. oracle) placement decisions.
+//! A playback policy for precomputed placement decisions.
 //!
 //! The clairvoyant oracle from `byom-solver` produces per-job decisions
 //! offline; [`OraclePolicy`] replays those decisions through the simulator so
 //! oracle curves are measured with exactly the same accounting (spillover,
-//! savings summary) as the online policies.
+//! savings summary) as the online policies. It also replays the ML
+//! baseline's admissions, predicted once per trace by
+//! [`LifetimeMlBaseline::playback`](crate::LifetimeMlBaseline::playback).
 
 use byom_cost::JobCost;
 use byom_sim::{Device, PlacementPolicy, SystemState};

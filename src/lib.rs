@@ -73,8 +73,9 @@
 //!   at most as many threads as the model has classes.
 //! * `byom_bench::run_clusters_parallel` fans a per-cluster experiment
 //!   out, `byom_bench::run_quotas_parallel` sweeps the quota
-//!   operating points of one prepared context (training the
-//!   quota-independent ML baseline once for the whole sweep), and
+//!   operating points of one prepared context (it trains the
+//!   quota-independent ML baseline and predicts each test job once for the
+//!   whole sweep), and
 //!   `byom_bench::run_resilience_sweep` fans out its fault intensities —
 //!   each returns exactly what the sequential loop it replaces would.
 //! * [`exec::install`]`(n, f)` pins the budget for everything `f` does; the

@@ -159,8 +159,11 @@ fn cluster_fanout_matches_sequential_loop() {
 
 #[test]
 fn quota_fanout_matches_sequential_loop() {
-    // The sweep trains the ML baseline once under its whole budget and
-    // shares it across quotas; `run_all_methods` trains its own per quota.
+    // The sweep trains the ML baseline and predicts the test trace once
+    // under its whole budget and shares them across quotas;
+    // `run_all_methods` does its own per quota.
+    // `sweep_replays_match_live_per_arrival_replays` pins both to the live
+    // per-arrival path.
     let ctx = ExperimentContext::prepare(ClusterSpec::balanced(32), quick_params());
     let quotas = [0.02, 0.1, 0.5];
     let sequential: Vec<_> = quotas
@@ -170,6 +173,34 @@ fn quota_fanout_matches_sequential_loop() {
     for parallelism in [1, 2, 3] {
         let parallel = run_quotas_parallel(&ctx, &quotas, true, parallelism);
         assert_eq!(sequential, parallel, "parallelism={parallelism}");
+    }
+}
+
+#[test]
+fn sweep_replays_match_live_per_arrival_replays() {
+    // The sweep predicts each test job once per model and replays the ML
+    // baseline and Adaptive Ranking from those predictions, as
+    // `run_all_methods` does too. Each row must equal a live replay that
+    // predicts every job at its arrival.
+    let ctx = ExperimentContext::prepare(ClusterSpec::balanced(39), quick_params());
+    let ml_config = byom::policies::LifetimeModelConfig {
+        gbdt: GbdtParams {
+            num_classes: 8,
+            num_trees: ctx.params.gbdt_trees.min(40),
+            ..GbdtParams::default()
+        },
+        ..Default::default()
+    };
+    let ml_baseline = LifetimeMlBaseline::train(ml_config, &ctx.train).unwrap();
+    let quotas = [0.01, 0.05, 1.0];
+    let sweep = run_quotas_parallel(&ctx, &quotas, false, 2);
+    for (&q, rows) in quotas.iter().zip(&sweep) {
+        let row = |method: &str| rows.iter().find(|r| r.method == method).unwrap();
+        let live_ml = ctx.to_result(ctx.run_policy(q, &mut ml_baseline.clone()));
+        let live_ranking =
+            ctx.to_result(ctx.run_policy(q, &mut ctx.trained.adaptive_ranking_policy()));
+        assert_eq!(row("ML Baseline"), &live_ml, "quota {q}");
+        assert_eq!(row("Adaptive Ranking"), &live_ranking, "quota {q}");
     }
 }
 
