@@ -110,6 +110,10 @@ impl AdaptiveSelector {
     /// Panics if the configuration is invalid; validate it first with
     /// [`AdaptiveConfig::validate`] to handle errors gracefully.
     pub fn new(config: AdaptiveConfig, num_categories: usize) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "validation panic in AdaptiveSelector::new; documented under # Panics"
+        )]
         if let Err(e) = config.validate(num_categories) {
             panic!("invalid adaptive config: {e}");
         }

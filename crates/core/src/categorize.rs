@@ -141,7 +141,7 @@ mod tests {
     fn hash_categorizer_spreads_pipelines_across_categories() {
         let trace = TraceGenerator::new(32).generate(&ClusterSpec::balanced(0), 14_400.0);
         let cat = HashCategorizer::new(8);
-        let distinct: std::collections::HashSet<usize> =
+        let distinct: std::collections::BTreeSet<usize> =
             trace.iter().filter_map(|j| cat.categorize(j)).collect();
         assert!(distinct.len() >= 4, "expected spread, got {distinct:?}");
     }

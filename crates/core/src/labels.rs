@@ -41,6 +41,10 @@ impl CategoryLabeler {
         if !densities.is_empty() {
             for k in 1..positive_buckets {
                 let idx = (k * densities.len()) / positive_buckets;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "quantile index is clamped to len-1"
+                )]
                 thresholds.push(densities[idx.min(densities.len() - 1)]);
             }
         }

@@ -67,6 +67,10 @@ impl CostModel {
     /// Panics if the rates fail [`CostRates::validate`]; construct rates from
     /// the provided presets or validate them first to avoid this.
     pub fn new(rates: CostRates) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "validation panic in CostModel::new; documented under # Panics"
+        )]
         if let Err(e) = rates.validate() {
             panic!("invalid cost rates: {e}");
         }

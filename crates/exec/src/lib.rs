@@ -239,6 +239,26 @@ impl<'a, T: Sync> ParIter<'a, T> {
 }
 
 /// The result of [`ParIter::map`], ready to collect.
+///
+/// [`collect`](ParMap::collect) is the only way to finish the map, and it
+/// returns results in input order:
+///
+/// ```
+/// use byom_exec::prelude::*;
+/// let v = vec![1.0, 2.0, 3.0];
+/// let doubled = v.par_iter().map(|x| x * 2.0).collect::<Vec<f64>>();
+/// assert_eq!(doubled, [2.0, 4.0, 6.0]);
+/// ```
+///
+/// There is no parallel `sum`, `reduce` or `fold` (E0599, no such method),
+/// so a float reduction cannot depend on which thread finishes first; sum
+/// the collected `Vec` instead:
+///
+/// ```compile_fail
+/// use byom_exec::prelude::*;
+/// let v = vec![1.0, 2.0, 3.0];
+/// let total = v.par_iter().map(|x| x * 2.0).sum::<f64>();
+/// ```
 #[derive(Debug)]
 pub struct ParMap<'a, T, F> {
     items: &'a [T],
@@ -312,7 +332,8 @@ impl ParRange {
     }
 }
 
-/// The result of [`ParRange::map`], ready to collect.
+/// The result of [`ParRange::map`], ready to collect. Like [`ParMap`], it
+/// has no parallel reduction: `collect` returns results in index order.
 #[derive(Debug)]
 pub struct ParRangeMap<F> {
     start: usize,

@@ -36,6 +36,10 @@ impl BinMapper {
             col.extend((0..n).map(|i| data.value(i, f)));
             col.sort_by(|a, b| a.total_cmp(b));
             col.dedup();
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "window and quantile indices stay below the column length"
+            )]
             let feature_edges = if col.len() <= max_bins {
                 // Each distinct value gets its own bin; edges are midpoints.
                 col.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
@@ -44,6 +48,10 @@ impl BinMapper {
                 let mut e = Vec::with_capacity(max_bins - 1);
                 for k in 1..max_bins {
                     let idx = k * (col.len() - 1) / max_bins;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "window and quantile indices stay below the column length"
+                    )]
                     let v = (col[idx] + col[(idx + 1).min(col.len() - 1)]) / 2.0;
                     if e.last().is_none_or(|&last| v > last) {
                         e.push(v);
@@ -62,6 +70,10 @@ impl BinMapper {
     }
 
     /// Number of bins used for feature `f` (edges + 1).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot-path indexing; feature and bin ids are produced by the binner itself"
+    )]
     pub fn num_bins(&self, f: usize) -> usize {
         self.edges[f].len() + 1
     }
@@ -71,12 +83,20 @@ impl BinMapper {
     ///
     /// # Panics
     /// Panics if `b` is not a valid edge index for feature `f`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot-path indexing; feature and bin ids are produced by the binner itself"
+    )]
     pub fn edge(&self, f: usize, b: usize) -> f64 {
         self.edges[f][b]
     }
 
     /// Bin index of value `v` for feature `f`.
     pub fn bin(&self, f: usize, v: f64) -> usize {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "hot-path indexing; feature and bin ids are produced by the binner itself"
+        )]
         let e = &self.edges[f];
         // partition_point returns the count of edges <= v ... we want first
         // edge >= v; values equal to an edge go left (bin of that edge).

@@ -28,6 +28,10 @@ impl Dataset {
                 labels: labels.len(),
             });
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "row/column bounds validated by Dataset::from_rows before any indexing"
+        )]
         let num_features = rows[0].len();
         if num_features == 0 {
             return Err(GbdtError::EmptyDataset);
@@ -78,6 +82,10 @@ impl Dataset {
     ///
     /// # Panics
     /// Panics if `i >= len()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row/column bounds validated by Dataset::from_rows before any indexing"
+    )]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.values[i * self.num_features..(i + 1) * self.num_features]
     }
@@ -86,6 +94,10 @@ impl Dataset {
     ///
     /// # Panics
     /// Panics if indices are out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row/column bounds validated by Dataset::from_rows before any indexing"
+    )]
     pub fn value(&self, i: usize, j: usize) -> f64 {
         assert!(j < self.num_features, "feature index out of range");
         self.values[i * self.num_features + j]
@@ -133,6 +145,10 @@ impl Dataset {
         let mut labels = Vec::with_capacity(indices.len());
         for &i in indices {
             values.extend_from_slice(self.row(i));
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "row/column bounds validated by Dataset::from_rows before any indexing"
+            )]
             labels.push(self.labels[i]);
         }
         Dataset {
@@ -143,6 +159,10 @@ impl Dataset {
     }
 
     /// Iterate over `(row, label)` pairs.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row/column bounds validated by Dataset::from_rows before any indexing"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (&[f64], usize)> + '_ {
         (0..self.len()).map(move |i| (self.row(i), self.labels[i]))
     }

@@ -166,6 +166,10 @@ impl GradientBoostedTrees {
 
         // Class priors -> initial log scores.
         let mut counts = vec![1.0f64; k]; // Laplace smoothing
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "class-prior count indexed by a validated label"
+        )]
         for &l in train.labels() {
             counts[l] += 1.0;
         }
@@ -208,6 +212,10 @@ impl GradientBoostedTrees {
 
         for round in 0..params.num_trees {
             all_rows.shuffle(&mut rng);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "sample slice bounded by the clamped sample size"
+            )]
             let sample = &all_rows[..sample_size];
 
             // Fit one tree per class and pre-compute its score contributions.

@@ -37,7 +37,15 @@ pub fn auc_drop_importance(
 
     // Baseline AUC per class.
     let mut baseline = vec![0.5f64; k];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "class and feature ids are bounded by the model that produced them"
+    )]
     for class in 0..k {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "class and feature ids are bounded by the model that produced them"
+        )]
         let scores: Vec<f64> = probs.iter().map(|p| p[class]).collect();
         let labels: Vec<bool> = data.labels().iter().map(|&l| l == class).collect();
         baseline[class] = binary_auc(&scores, &labels);
@@ -53,12 +61,24 @@ pub fn auc_drop_importance(
         // Score all rows with the permuted feature value substituted in.
         let mut permuted_probs = Vec::with_capacity(n);
         let mut row_buf = vec![0.0f64; data.num_features()];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "class and feature ids are bounded by the model that produced them"
+        )]
         for (i, &p) in perm.iter().enumerate() {
             row_buf.copy_from_slice(data.row(i));
             row_buf[feature] = data.value(p, feature);
             permuted_probs.push(model.predict_proba(&row_buf));
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "class and feature ids are bounded by the model that produced them"
+        )]
         for class in 0..k {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "class and feature ids are bounded by the model that produced them"
+            )]
             let scores: Vec<f64> = permuted_probs.iter().map(|p| p[class]).collect();
             let labels: Vec<bool> = data.labels().iter().map(|&l| l == class).collect();
             let auc = binary_auc(&scores, &labels);
@@ -95,7 +115,15 @@ pub fn group_importance(
         .map(|per_feature| {
             let mut group_sum = vec![0.0f64; num_groups];
             let mut group_count = vec![0usize; num_groups];
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "group index asserted below num_groups"
+            )]
             for (f, &score) in per_feature.iter().enumerate() {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "feature_groups covers every feature; documented under # Panics"
+                )]
                 let g = feature_groups[f];
                 assert!(g < num_groups, "group index {g} out of range");
                 group_sum[g] += score;

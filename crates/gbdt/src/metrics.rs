@@ -27,6 +27,10 @@ pub fn top_k_accuracy(probabilities: &[Vec<f64>], truth: &[usize], k: usize) -> 
     let mut correct = 0usize;
     for (probs, &t) in probabilities.iter().zip(truth) {
         let mut idx: Vec<usize> = (0..probs.len()).collect();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the sort comparator indexes by positions drawn from 0..len of the slice"
+        )]
         idx.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]));
         if idx.iter().take(k).any(|&i| i == t) {
             correct += 1;
@@ -52,15 +56,27 @@ pub fn binary_auc(scores: &[f64], labels: &[bool]) -> f64 {
     }
     // Rank scores (average ranks for ties).
     let mut order: Vec<usize> = (0..scores.len()).collect();
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the sort comparator indexes by positions drawn from 0..len of the slice"
+    )]
     order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
     let mut ranks = vec![0.0f64; scores.len()];
     let mut i = 0;
     while i < order.len() {
         let mut j = i;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "AUC midranks index by positions drawn from 0..len of the same slice"
+        )]
         while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
             j += 1;
         }
         let avg_rank = (i + j) as f64 / 2.0 + 1.0;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "AUC midranks index by positions drawn from 0..len of the same slice"
+        )]
         for &idx in &order[i..=j] {
             ranks[idx] = avg_rank;
         }

@@ -92,13 +92,28 @@ impl Oracle {
         let capacity = self.capacity_bytes as f64;
 
         // Candidate jobs with positive value.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "candidate indices come from 0..jobs.len(); hot greedy loop"
+        )]
         let candidates: Vec<usize> = (0..jobs.len())
             .filter(|&i| self.objective.value(&jobs[i]) > 0.0 && jobs[i].size_bytes > 0)
             .collect();
 
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "candidate indices come from 0..jobs.len(); hot greedy loop"
+        )]
         let density =
             |i: usize| self.objective.value(&jobs[i]) / jobs[i].ssd_byte_seconds().max(1e-9);
-        #[allow(clippy::type_complexity)]
+        #[allow(
+            clippy::type_complexity,
+            reason = "one local array of boxed comparators"
+        )]
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "candidate indices come from 0..jobs.len(); hot greedy loop"
+        )]
         let orderings: [Box<dyn Fn(&usize, &usize) -> std::cmp::Ordering>; 3] = [
             Box::new(|&a: &usize, &b: &usize| density(b).total_cmp(&density(a))),
             Box::new(|&a: &usize, &b: &usize| {
@@ -122,12 +137,20 @@ impl Oracle {
             let mut on_ssd = vec![false; jobs.len()];
             let mut total_value = 0.0;
             for &i in &order {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "candidate indices come from 0..jobs.len(); hot greedy loop"
+                )]
                 let job = &jobs[i];
                 let (lo, hi) = timeline.segment_range(job);
                 if lo >= hi {
                     continue;
                 }
                 let current = occupancy.range_max(lo, hi).max(0.0);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "candidate indices come from 0..jobs.len(); hot greedy loop"
+                )]
                 if current + job.size_bytes as f64 <= capacity {
                     occupancy.range_add(lo, hi, job.size_bytes as f64);
                     on_ssd[i] = true;

@@ -68,10 +68,18 @@ impl SegmentTree {
         self.range_max(0, self.len)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "implicit binary-heap layout: child = 2*node+1 bounded by tree size"
+    )]
     fn add_rec(&mut self, node: usize, nlo: usize, nhi: usize, lo: usize, hi: usize, value: f64) {
         if hi <= nlo || nhi <= lo {
             return;
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "implicit binary-heap layout: child = 2*node+1 bounded by tree size"
+        )]
         if lo <= nlo && nhi <= hi {
             self.lazy[node] += value;
             self.max[node] += value;
@@ -83,11 +91,19 @@ impl SegmentTree {
         self.max[node] = self.max[node * 2].max(self.max[node * 2 + 1]) + self.lazy[node];
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "implicit binary-heap layout: child = 2*node+1 bounded by tree size"
+    )]
     fn max_rec(&self, node: usize, nlo: usize, nhi: usize, lo: usize, hi: usize) -> f64 {
         if hi <= nlo || nhi <= lo {
             return f64::NEG_INFINITY;
         }
         if lo <= nlo && nhi <= hi {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "implicit binary-heap layout: child = 2*node+1 bounded by tree size"
+            )]
             return self.max[node];
         }
         let mid = (nlo + nhi) / 2;

@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let names: std::collections::HashSet<_> =
+        let names: std::collections::BTreeSet<_> =
             Archetype::all().iter().map(|a| a.name()).collect();
         assert_eq!(names.len(), Archetype::all().len());
     }

@@ -229,7 +229,7 @@ mod tests {
     fn evaluation_fleet_has_ten_unique_clusters() {
         let fleet = ClusterSpec::evaluation_fleet();
         assert_eq!(fleet.len(), 10);
-        let ids: std::collections::HashSet<_> = fleet.iter().map(|c| c.id).collect();
+        let ids: std::collections::BTreeSet<_> = fleet.iter().map(|c| c.id).collect();
         assert_eq!(ids.len(), 10);
     }
 

@@ -148,6 +148,10 @@ impl TraceGenerator {
                                 if arrival >= duration_secs {
                                     break;
                                 }
+                                #[expect(
+                                    clippy::indexing_slicing,
+                                    reason = "archetype/pipeline picks index arrays sized in the same function"
+                                )]
                                 let job = Self::make_job(
                                     &mut rng,
                                     spec,
@@ -182,8 +186,16 @@ impl TraceGenerator {
                         if rng.gen::<f64>() > accept {
                             continue;
                         }
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "archetype/pipeline picks index arrays sized in the same function"
+                        )]
                         let pidx = members[rng.gen_range(0..members.len())];
                         let shuffle_idx = rng.gen_range(0..pspec.shuffles_per_run.max(1));
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "archetype/pipeline picks index arrays sized in the same function"
+                        )]
                         let job = Self::make_job(
                             &mut rng,
                             spec,
@@ -231,7 +243,10 @@ impl TraceGenerator {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "private helper that threads the generator's loop state"
+    )]
     fn make_job<R: Rng + ?Sized>(
         rng: &mut R,
         spec: &ClusterSpec,

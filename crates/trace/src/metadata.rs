@@ -68,6 +68,10 @@ impl PipelineMetadata {
         user_idx: u32,
         pipeline_idx: u32,
     ) -> Self {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the pick index is drawn from 0..len of the same array"
+        )]
         let team = TEAMS[rng.gen_range(0..TEAMS.len())];
         let kind = archetype.name();
         let user_name = format!("{team}-{kind}-user{user_idx}");
@@ -85,6 +89,10 @@ impl PipelineMetadata {
     /// Generate a step name for shuffle `shuffle_idx` within a run of this
     /// pipeline, e.g. `GroupByKey-open-shuffle4`.
     pub fn step_name<R: Rng + ?Sized>(&self, rng: &mut R, shuffle_idx: u32) -> String {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the pick index is drawn from 0..len of the same array"
+        )]
         let op = STEP_OPS[rng.gen_range(0..STEP_OPS.len())];
         format!("{op}-open-shuffle{shuffle_idx}")
     }
