@@ -75,7 +75,9 @@ pub struct CategoryModel {
 
 impl CategoryModel {
     /// Train a category model on a historical trace whose per-job costs and
-    /// labels come from `costs` and `labeler`.
+    /// labels come from `costs` and `labeler`. Encoding the trace runs under
+    /// the ambient `byom_exec` budget, and training under
+    /// `config.gbdt.parallelism` within it.
     ///
     /// # Errors
     /// Returns an error if the trace is empty or model training fails.
@@ -89,12 +91,7 @@ impl CategoryModel {
         labeler: &CategoryLabeler,
     ) -> Result<Self, GbdtError> {
         assert_eq!(trace.len(), costs.len(), "trace and costs must be parallel");
-        let rows: Vec<Vec<f64>> = trace
-            .iter()
-            .map(|j| config.encoder.encode(&j.features))
-            .collect();
-        let labels = labeler.label_all(costs);
-        let data = Dataset::from_rows(rows, labels)?;
+        let data = encode_dataset(&config.encoder, trace, labeler.label_all(costs))?;
 
         let params = GbdtParams {
             num_classes: config.num_categories,
@@ -201,12 +198,7 @@ impl CategoryModel {
         seed: u64,
     ) -> Result<Vec<Vec<f64>>, GbdtError> {
         assert_eq!(trace.len(), costs.len(), "trace and costs must be parallel");
-        let rows: Vec<Vec<f64>> = trace
-            .iter()
-            .map(|j| self.encoder.encode(&j.features))
-            .collect();
-        let labels = labeler.label_all(costs);
-        let data = Dataset::from_rows(rows, labels)?;
+        let data = encode_dataset(&self.encoder, trace, labeler.label_all(costs))?;
         let per_feature = auc_drop_importance(&self.model, &data, seed);
         let group_of: Vec<usize> = self
             .encoder
@@ -305,6 +297,23 @@ pub fn group_index(group: FeatureGroup) -> usize {
         FeatureGroup::AllocatedResources => 2,
         FeatureGroup::JobTimestamp => 3,
     }
+}
+
+/// Encode every job of `trace` into a dataset with `labels`, in parallel
+/// under the ambient `byom_exec` budget (see [`Dataset::from_fn`]).
+fn encode_dataset(
+    encoder: &FeatureEncoder,
+    trace: &Trace,
+    labels: Vec<usize>,
+) -> Result<Dataset, GbdtError> {
+    let jobs = trace.jobs();
+    Dataset::from_fn(encoder.num_features(), labels, |i, row| {
+        if let Some(job) = jobs.get(i) {
+            row.iter_mut()
+                .zip(encoder.encode(&job.features))
+                .for_each(|(slot, value)| *slot = value);
+        }
+    })
 }
 
 fn argmax(v: &[f64]) -> usize {

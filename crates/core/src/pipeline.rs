@@ -57,12 +57,14 @@ impl ByomPipelineBuilder {
         self
     }
 
-    /// Thread budget used while training the category model: the per-class
-    /// trees of each boosting round are fitted concurrently, one thread per
-    /// tree, so a budget above the category count leaves threads idle. `0`
-    /// (the default) inherits the ambient budget (`BYOM_THREADS` or all
-    /// cores); `1` trains strictly sequentially at every nesting level. The
-    /// trained model is bit-identical regardless of this setting.
+    /// Thread budget used while training the category model. Encoding the
+    /// training jobs and binning the features run on the whole budget; each
+    /// boosting round fits its per-class trees concurrently, one thread per
+    /// tree, then updates scores and probabilities in row blocks on the
+    /// whole budget (see `GbdtParams::parallelism`). `0` (the default)
+    /// inherits the ambient budget (`BYOM_THREADS` or all cores); `1`
+    /// trains strictly sequentially at every nesting level. The trained
+    /// model is bit-identical regardless of this setting.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads;
         self

@@ -3,9 +3,11 @@
 //! Every parallel call site in the workspace — GBDT training, the
 //! experiment harness fan-outs, the resilience sweeps, the fig binaries —
 //! goes through one index-parallel map ([`ParallelSlice::par_iter`],
-//! [`IntoParallelIterator::into_par_iter`]). A call runs on the calling
-//! thread plus scoped threads (`std::thread::scope`) that live only as long
-//! as the call; there is no persistent pool.
+//! [`IntoParallelIterator::into_par_iter`]), or through its in-place form
+//! ([`ParallelSliceMut::par_iter_mut`]), whose closures mutate one element
+//! each and return nothing. A call runs on the calling thread plus scoped
+//! threads (`std::thread::scope`) that live only as long as the call; there
+//! is no persistent pool.
 //!
 //! # Thread budget
 //!
@@ -42,11 +44,12 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// The traits to import to get `par_iter` / `into_par_iter`.
+/// The traits to import to get `par_iter` / `par_iter_mut` /
+/// `into_par_iter`.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelSlice};
+    pub use crate::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
 }
 
 /// The default thread budget when nothing narrower is in scope:
@@ -282,6 +285,60 @@ impl<'a, T: Sync, U: Send, F: Fn(&'a T) -> U + Sync> ParMap<'a, T, F> {
     }
 }
 
+/// Mutably borrowing parallel iterator over a slice (`par_iter_mut`).
+#[derive(Debug)]
+pub struct ParIterMut<'a, T> {
+    items: &'a mut [T],
+}
+
+/// Extension trait providing [`ParallelSliceMut::par_iter_mut`] on slices
+/// and `Vec`s.
+pub trait ParallelSliceMut<T: Send> {
+    /// A parallel iterator borrowing the elements mutably.
+    fn par_iter_mut(&mut self) -> ParIterMut<'_, T>;
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
+        ParIterMut { items: self }
+    }
+}
+
+impl<T: Send> ParallelSliceMut<T> for Vec<T> {
+    fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
+        self.as_mut_slice().par_iter_mut()
+    }
+}
+
+impl<T: Send> ParIterMut<'_, T> {
+    /// Run `f` once on every element, in place, under the ambient budget.
+    /// Each closure owns its element for the call and returns nothing, so
+    /// there is nothing to reduce: the slice ends up as a sequential loop
+    /// would leave it, for any budget and schedule, as long as `f` reads
+    /// nothing another element's closure writes. Hand it disjoint blocks to
+    /// update a buffer in place:
+    ///
+    /// ```
+    /// use byom_exec::prelude::*;
+    /// let mut v = vec![1.0, 2.0, 3.0, 4.0, 5.0];
+    /// let mut blocks: Vec<&mut [f64]> = v.chunks_mut(2).collect();
+    /// blocks.par_iter_mut().for_each(|block| block.iter_mut().for_each(|x| *x *= 2.0));
+    /// assert_eq!(v, [2.0, 4.0, 6.0, 8.0, 10.0]);
+    /// ```
+    pub fn for_each<F: Fn(&mut T) + Sync>(self, f: F) {
+        // Each element sits behind its own lock, which exactly one closure
+        // ever takes, so no lock is contended; the locks only let scoped
+        // threads borrow disjoint elements without `unsafe`.
+        let cells: Vec<Mutex<&mut T>> = self.items.iter_mut().map(Mutex::new).collect();
+        let f = &f;
+        let _: Vec<()> = run_map(0, cells.len(), |i| {
+            if let Some(cell) = cells.get(i) {
+                f(&mut cell.lock().unwrap_or_else(PoisonError::into_inner));
+            }
+        });
+    }
+}
+
 /// Types convertible into an owning parallel iterator (`into_par_iter`).
 pub trait IntoParallelIterator {
     /// The element type.
@@ -400,6 +457,41 @@ mod tests {
         assert!(out.is_empty());
         let out: Vec<usize> = (5..5).into_par_iter().map(|i| i).collect();
         assert!(out.is_empty());
+        let mut empty: Vec<u32> = Vec::new();
+        empty.par_iter_mut().for_each(|x| *x += 1);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn in_place_map_touches_every_element_once() {
+        for threads in [1, 2, 3, 8] {
+            let mut v: Vec<u64> = (0..1001).collect();
+            let mut blocks: Vec<(usize, &mut [u64])> = v.chunks_mut(64).enumerate().collect();
+            install(threads, || {
+                blocks.par_iter_mut().for_each(|(b, block)| {
+                    for (j, x) in block.iter_mut().enumerate() {
+                        *x = *x * 3 + (*b * 64 + j) as u64;
+                    }
+                });
+            });
+            assert_eq!(v, (0..1001).map(|x| x * 4).collect::<Vec<u64>>());
+        }
+    }
+
+    #[test]
+    fn in_place_map_panics_propagate() {
+        let mut v: Vec<usize> = (0..64).collect();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            install(4, || {
+                v.par_iter_mut().for_each(|x| {
+                    if *x == 33 {
+                        panic!("boom at {x}");
+                    }
+                    *x += 1;
+                });
+            });
+        }));
+        assert!(result.is_err(), "the mapped panic must reach the caller");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::dataset::Dataset;
 use crate::histogram::BinnedMatrix;
+use byom_exec::prelude::*;
 
 /// Maps raw feature values to discrete bin indices per feature.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,40 +28,41 @@ impl BinMapper {
         assert!(max_bins >= 2, "need at least 2 bins");
         assert!(max_bins <= 256, "at most 256 bins fit a u8 bin index");
         let n = data.len();
-        let mut edges = Vec::with_capacity(data.num_features());
-        // One sort scratch reused across features: `clear` keeps the
-        // allocation, so fitting F features costs one buffer, not F.
-        let mut col: Vec<f64> = Vec::with_capacity(n);
-        for f in 0..data.num_features() {
-            col.clear();
-            col.extend((0..n).map(|i| data.value(i, f)));
-            col.sort_by(|a, b| a.total_cmp(b));
-            col.dedup();
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "window and quantile indices stay below the column length"
-            )]
-            let feature_edges = if col.len() <= max_bins {
-                // Each distinct value gets its own bin; edges are midpoints.
-                col.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
-            } else {
-                // Quantile edges.
-                let mut e = Vec::with_capacity(max_bins - 1);
-                for k in 1..max_bins {
-                    let idx = k * (col.len() - 1) / max_bins;
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "window and quantile indices stay below the column length"
-                    )]
-                    let v = (col[idx] + col[(idx + 1).min(col.len() - 1)]) / 2.0;
-                    if e.last().is_none_or(|&last| v > last) {
-                        e.push(v);
+        // Each feature's edges come from its own sorted column, so features
+        // fan out under the ambient `byom_exec` budget, one column buffer
+        // per running closure; `collect` keeps them in feature order.
+        let edges = (0..data.num_features())
+            .into_par_iter()
+            .map(|f| {
+                let mut col: Vec<f64> = (0..n).map(|i| data.value(i, f)).collect();
+                col.sort_by(|a, b| a.total_cmp(b));
+                col.dedup();
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "window and quantile indices stay below the column length"
+                )]
+                let feature_edges = if col.len() <= max_bins {
+                    // Each distinct value gets its own bin; edges are midpoints.
+                    col.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
+                } else {
+                    // Quantile edges.
+                    let mut e = Vec::with_capacity(max_bins - 1);
+                    for k in 1..max_bins {
+                        let idx = k * (col.len() - 1) / max_bins;
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "window and quantile indices stay below the column length"
+                        )]
+                        let v = (col[idx] + col[(idx + 1).min(col.len() - 1)]) / 2.0;
+                        if e.last().is_none_or(|&last| v > last) {
+                            e.push(v);
+                        }
                     }
-                }
-                e
-            };
-            edges.push(feature_edges);
-        }
+                    e
+                };
+                feature_edges
+            })
+            .collect();
         BinMapper { edges }
     }
 

@@ -1,8 +1,12 @@
 //! Dense in-memory dataset used for training and evaluation.
 
 use crate::error::GbdtError;
+use byom_exec::prelude::*;
 use rand::seq::SliceRandom;
 use rand::Rng;
+
+/// Rows per block when [`Dataset::from_fn`] fills rows in parallel.
+const FILL_ROWS: usize = 1024;
 
 /// A dense, row-major dataset of numeric features with integer class labels.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +54,47 @@ impl Dataset {
                 }
                 values.push(v);
             }
+        }
+        Ok(Dataset {
+            values,
+            labels,
+            num_features,
+        })
+    }
+
+    /// Build a dataset of `labels.len()` rows of `num_features` values each,
+    /// letting `fill(i, row)` write row `i` into a zeroed slice. Blocks of
+    /// rows fill in parallel under the ambient `byom_exec` budget, straight
+    /// into the dataset's storage, so no per-row `Vec` is ever allocated.
+    /// The result is what [`from_rows`](Self::from_rows) builds from the
+    /// same rows.
+    ///
+    /// # Errors
+    /// Returns an error if there are no rows or features, or if any filled
+    /// value is non-finite (the first one in row-major order is reported).
+    pub fn from_fn<F>(num_features: usize, labels: Vec<usize>, fill: F) -> Result<Self, GbdtError>
+    where
+        F: Fn(usize, &mut [f64]) + Sync,
+    {
+        if labels.is_empty() || num_features == 0 {
+            return Err(GbdtError::EmptyDataset);
+        }
+        let mut values = vec![0.0; labels.len() * num_features];
+        let mut blocks: Vec<(usize, &mut [f64])> = values
+            .chunks_mut(FILL_ROWS * num_features)
+            .enumerate()
+            .map(|(b, block)| (b * FILL_ROWS, block))
+            .collect();
+        blocks.par_iter_mut().for_each(|(first_row, block)| {
+            for (j, row) in block.chunks_mut(num_features).enumerate() {
+                fill(*first_row + j, row);
+            }
+        });
+        if let Some(at) = values.iter().position(|v| !v.is_finite()) {
+            return Err(GbdtError::NonFiniteFeature {
+                row: at / num_features,
+                column: at % num_features,
+            });
         }
         Ok(Dataset {
             values,
@@ -197,6 +242,41 @@ mod tests {
         assert_eq!(d.value(2, 1), 6.0);
         assert_eq!(d.labels(), &[0, 1, 0, 1]);
         assert_eq!(d.iter().count(), 4);
+    }
+
+    #[test]
+    fn filled_rows_equal_collected_rows_at_any_budget() {
+        // Two full fill blocks and a ragged tail.
+        let n = 2 * FILL_ROWS + 37;
+        let row = |i: usize| vec![i as f64, (i as f64 * 0.3).sin(), (i % 7) as f64];
+        let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
+        let want = Dataset::from_rows((0..n).map(row).collect(), labels.clone()).unwrap();
+        for threads in [1, 2, 3] {
+            let got = byom_exec::install(threads, || {
+                Dataset::from_fn(3, labels.clone(), |i, out| out.copy_from_slice(&row(i)))
+            });
+            assert_eq!(got.unwrap(), want, "{threads} threads");
+        }
+        assert_eq!(
+            Dataset::from_fn(3, vec![], |_, _| {}).unwrap_err(),
+            GbdtError::EmptyDataset
+        );
+        assert_eq!(
+            Dataset::from_fn(0, vec![0], |_, _| {}).unwrap_err(),
+            GbdtError::EmptyDataset
+        );
+        let nan_at_1025_2 = Dataset::from_fn(3, labels, |i, out| {
+            if i == FILL_ROWS + 1 {
+                out[2] = f64::NAN;
+            }
+        });
+        assert_eq!(
+            nan_at_1025_2.unwrap_err(),
+            GbdtError::NonFiniteFeature {
+                row: FILL_ROWS + 1,
+                column: 2
+            }
+        );
     }
 
     #[test]

@@ -164,7 +164,7 @@ mod tests {
     use super::*;
     use crate::binning::BinMapper;
     use crate::dataset::Dataset;
-    use crate::tree::TreeParams;
+    use crate::tree::{RowSample, TreeParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -200,6 +200,7 @@ mod tests {
             ..TreeParams::default()
         };
         let rows: Vec<usize> = (0..data.len()).collect();
+        let sample = RowSample::new(&rows, data.len());
         let mut rng = StdRng::seed_from_u64(29);
         (0..ROUNDS)
             .map(|_| {
@@ -210,7 +211,7 @@ mod tests {
                             .collect();
                         let hess: Vec<f64> =
                             (0..data.len()).map(|_| rng.gen_range(0.5..1.5)).collect();
-                        Tree::fit_scored(&binned, &mapper, &grad, &hess, &rows, params).tree
+                        Tree::fit_scored(&binned, &mapper, &grad, &hess, &sample, params).tree
                     })
                     .collect()
             })

@@ -5,7 +5,7 @@ use crate::dataset::Dataset;
 use crate::error::GbdtError;
 use crate::forest::Forest;
 use crate::metrics::log_loss;
-use crate::tree::{Tree, TreeParams};
+use crate::tree::{RowSample, Tree, TreeParams};
 use byom_exec::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -33,12 +33,14 @@ pub struct GbdtParams {
     pub early_stopping_rounds: Option<usize>,
     /// RNG seed for row subsampling.
     pub seed: u64,
-    /// Worker threads for training: the per-class trees of each boosting
-    /// round are fitted concurrently, each on one thread, so at most
-    /// `num_classes` threads do work. `0` inherits the ambient `byom_exec`
-    /// budget and `1` recovers the fully sequential behavior. Any value
-    /// produces **bit-identical** models — parallelism never changes the
-    /// result.
+    /// Worker threads for training, a `byom_exec` budget for everything
+    /// `train` does. Binning sorts the feature columns concurrently. Each
+    /// boosting round fits its per-class trees concurrently, each on one
+    /// thread, so at most `num_classes` threads fit trees; it then updates
+    /// the scores and softmax probabilities in blocks of rows, on up to the
+    /// whole budget. `0` inherits the ambient budget and `1` recovers the
+    /// fully sequential behavior. Any value produces **bit-identical**
+    /// models — parallelism never changes the result.
     pub parallelism: usize,
 }
 
@@ -158,6 +160,12 @@ impl GradientBoostedTrees {
             v.check_labels(params.num_classes)?;
         }
 
+        byom_exec::install(params.parallelism, || Ok(Self::boost(params, train, valid)))
+    }
+
+    /// The boosting loop of [`train`](Self::train) on validated inputs,
+    /// under the training thread budget.
+    fn boost(params: &GbdtParams, train: &Dataset, valid: Option<&Dataset>) -> Self {
         let n = train.len();
         let k = params.num_classes;
         let mapper = BinMapper::fit(train, params.max_bins);
@@ -204,7 +212,7 @@ impl GradientBoostedTrees {
         // round's score update: that round's training loss and the next
         // round's gradients both read them.
         let mut probs = vec![0.0f64; n * k];
-        softmax_into(&scores, &mut probs, k);
+        update_scores(&mut scores, &mut probs, k, params.learning_rate, &[]);
         let mut valid_probs = vec![0.0f64; valid_scores.len()];
 
         let mut all_rows: Vec<usize> = (0..n).collect();
@@ -212,25 +220,25 @@ impl GradientBoostedTrees {
 
         for round in 0..params.num_trees {
             all_rows.shuffle(&mut rng);
+            // The round's sample, and the rows it leaves out, shared by the
+            // round's trees.
             #[expect(
                 clippy::indexing_slicing,
                 reason = "sample slice bounded by the clamped sample size"
             )]
-            let sample = &all_rows[..sample_size];
+            let sample = RowSample::new(&all_rows[..sample_size], n);
 
             // Fit one tree per class and pre-compute its score contributions.
             // The per-class trees of one round are independent (their
             // gradients all derive from the probabilities computed at the
             // start of the round, and their score updates touch disjoint
-            // class columns), so classes fan out under `params.parallelism`.
-            // This is training's only level of parallelism: each tree fits on
-            // one thread, so a budget above `k` leaves its extra threads
-            // idle. The result is bit-identical to sequential because each
-            // class's work is a pure function of the round-start
-            // probabilities.
+            // class columns), so classes fan out under the training budget.
+            // Each tree fits on one thread, so this fan-out keeps at most `k`
+            // threads busy; the score update after it splits rows instead.
+            // The result is bit-identical to sequential because each class's
+            // work is a pure function of the round-start probabilities.
             let fitted: Vec<(Tree, Vec<f64>, Vec<f64>)> = (0..k)
                 .into_par_iter()
-                .with_max_threads(params.parallelism)
                 .map(|class| {
                     let mut grad = vec![0.0f64; n];
                     let mut hess = vec![0.0f64; n];
@@ -245,7 +253,8 @@ impl GradientBoostedTrees {
                     // value from the partition the fit computes anyway, so
                     // the training-score update below is one add per row
                     // with no tree walk — bit-identical to re-traversing.
-                    let fit = Tree::fit_scored(&binned, &mapper, &grad, &hess, sample, params.tree);
+                    let fit =
+                        Tree::fit_scored(&binned, &mapper, &grad, &hess, &sample, params.tree);
                     let valid_preds: Vec<f64> = valid
                         .map(|v| {
                             (0..v.len())
@@ -258,27 +267,32 @@ impl GradientBoostedTrees {
                 .collect();
 
             let mut round_trees = Vec::with_capacity(k);
-            for (class, (tree, train_preds, valid_preds)) in fitted.into_iter().enumerate() {
-                // Update raw scores for all rows.
-                for (row, p) in scores.chunks_mut(k).zip(train_preds) {
-                    if let Some(s) = row.get_mut(class) {
-                        *s += params.learning_rate * p;
-                    }
-                }
-                for (row, p) in valid_scores.chunks_mut(k).zip(valid_preds) {
-                    if let Some(s) = row.get_mut(class) {
-                        *s += params.learning_rate * p;
-                    }
-                }
+            let mut train_preds = Vec::with_capacity(k);
+            let mut valid_preds = Vec::with_capacity(k);
+            for (tree, train_values, valid_values) in fitted {
                 round_trees.push(tree);
+                train_preds.push(train_values);
+                valid_preds.push(valid_values);
             }
             rounds.push(round_trees);
 
-            softmax_into(&scores, &mut probs, k);
+            update_scores(
+                &mut scores,
+                &mut probs,
+                k,
+                params.learning_rate,
+                &train_preds,
+            );
             report.train_loss.push(log_loss(&probs, k, train.labels()));
 
             if let Some(v) = valid {
-                softmax_into(&valid_scores, &mut valid_probs, k);
+                update_scores(
+                    &mut valid_scores,
+                    &mut valid_probs,
+                    k,
+                    params.learning_rate,
+                    &valid_preds,
+                );
                 let vl = log_loss(&valid_probs, k, v.labels());
                 report.valid_loss.push(vl);
                 if vl < best_valid - 1e-9 {
@@ -302,14 +316,14 @@ impl GradientBoostedTrees {
             report.best_round = Some(best_round);
         }
         report.rounds = rounds.len();
-        Ok(GradientBoostedTrees {
+        GradientBoostedTrees {
             num_classes: k,
             num_features: train.num_features(),
             learning_rate: params.learning_rate,
             base_scores,
             forest: Forest::from_rounds(&rounds),
             report,
-        })
+        }
     }
 
     /// Raw (pre-softmax) scores for one feature row.
@@ -412,6 +426,44 @@ impl GradientBoostedTrees {
     pub fn report(&self) -> &TrainReport {
         &self.report
     }
+}
+
+/// Rows per block of a round's parallel score update.
+const UPDATE_ROWS: usize = 1024;
+
+/// Add `learning_rate × leaf_values[c][i]` to class `c`'s score of row `i`
+/// for every class in `leaf_values` (none is fine), then refill every row's
+/// softmax probabilities in `probs`. Blocks of [`UPDATE_ROWS`] rows run in
+/// parallel under the ambient budget, each in place on its own rows. Each
+/// score takes at most one add and each row's softmax reads only that row,
+/// so the result is bit-identical to a sequential loop.
+fn update_scores(
+    scores: &mut [f64],
+    probs: &mut [f64],
+    k: usize,
+    learning_rate: f64,
+    leaf_values: &[Vec<f64>],
+) {
+    let k = k.max(1);
+    let mut blocks: Vec<(usize, &mut [f64], &mut [f64])> = scores
+        .chunks_mut(UPDATE_ROWS * k)
+        .zip(probs.chunks_mut(UPDATE_ROWS * k))
+        .enumerate()
+        .map(|(b, (scores, probs))| (b * UPDATE_ROWS, scores, probs))
+        .collect();
+    blocks
+        .par_iter_mut()
+        .for_each(|(first_row, scores, probs)| {
+            for (class, values) in leaf_values.iter().enumerate() {
+                let values = values.get(*first_row..).unwrap_or(&[]);
+                for (row, &v) in scores.chunks_mut(k).zip(values) {
+                    if let Some(s) = row.get_mut(class) {
+                        *s += learning_rate * v;
+                    }
+                }
+            }
+            softmax_into(scores, probs, k);
+        });
 }
 
 /// Softmax of each `k`-wide row of the row-major `scores`, written in place
@@ -642,6 +694,37 @@ mod tests {
                 model.predict_with_proba(row),
                 (model.predict(row), model.predict_proba(row))
             );
+        }
+    }
+
+    #[test]
+    fn block_update_matches_the_class_by_class_loop() {
+        // Three full blocks and a ragged tail, at every budget.
+        let (n, k, lr) = (3 * UPDATE_ROWS + 57, 5, 0.3);
+        let mut rng = StdRng::seed_from_u64(13);
+        let start: Vec<f64> = (0..n * k).map(|_| rng.gen_range(-3.0..3.0)).collect();
+        let leaf_values: Vec<Vec<f64>> = (0..k)
+            .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .collect();
+        // The sequential update blocks replaced: class by class over every
+        // row, then one softmax pass.
+        let mut want_scores = start.clone();
+        for (class, values) in leaf_values.iter().enumerate() {
+            for (row, &v) in want_scores.chunks_mut(k).zip(values) {
+                row[class] += lr * v;
+            }
+        }
+        let mut want_probs = vec![0.0; n * k];
+        softmax_into(&want_scores, &mut want_probs, k);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for threads in [1, 2, 3, 8] {
+            let mut scores = start.clone();
+            let mut probs = vec![0.0; n * k];
+            byom_exec::install(threads, || {
+                update_scores(&mut scores, &mut probs, k, lr, &leaf_values);
+            });
+            assert_eq!(bits(&scores), bits(&want_scores), "{threads} threads");
+            assert_eq!(bits(&probs), bits(&want_probs), "{threads} threads");
         }
     }
 

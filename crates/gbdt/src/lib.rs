@@ -52,4 +52,4 @@ pub use gbm::{GbdtParams, GradientBoostedTrees, TrainReport};
 pub use histogram::BinnedMatrix;
 pub use importance::auc_drop_importance;
 pub use metrics::{accuracy, binary_auc, log_loss, top_k_accuracy};
-pub use tree::{Node, ScoredFit, Tree, TreeParams};
+pub use tree::{Node, RowSample, ScoredFit, Tree, TreeParams};

@@ -5,8 +5,12 @@
 //! values use the standard second-order (Newton) estimate `-G / (H + λ)`.
 //!
 //! The histogram hot path runs on the engine in [`crate::histogram`]:
-//! row-wise fills over row-major `u8` bins and the sibling subtraction
-//! trick. A fit runs on the calling thread — see that module for the
+//! row-wise fills from gathered copies of a node's rows, and the sibling
+//! subtraction trick. Partitions read the split feature from the binned
+//! matrix's feature-major view, so a node's split touches one contiguous
+//! column instead of one row per sample. A fit runs on the calling
+//! thread; a boosting round fits its per-class trees concurrently, and
+//! each tree is still one thread's work — see that module for the
 //! determinism contract.
 
 use crate::binning::BinMapper;
@@ -80,6 +84,37 @@ pub struct ScoredFit {
     pub row_values: Vec<f64>,
 }
 
+/// The rows a boosting round fits its trees on, with the rest of the
+/// binned matrix's rows listed once for every tree of the round to carry
+/// through its splits (see [`ScoredFit::row_values`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowSample<'a> {
+    rows: &'a [usize],
+    out_of_sample: Vec<usize>,
+}
+
+impl<'a> RowSample<'a> {
+    /// The sample `rows` of a matrix of `num_rows` rows; every row of
+    /// `0..num_rows` not in `rows` is out of sample, in index order.
+    pub fn new(rows: &'a [usize], num_rows: usize) -> Self {
+        let mut in_sample = vec![false; num_rows];
+        for &i in rows {
+            if let Some(flag) = in_sample.get_mut(i) {
+                *flag = true;
+            }
+        }
+        let out_of_sample = in_sample
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &sampled)| (!sampled).then_some(i))
+            .collect();
+        RowSample {
+            rows,
+            out_of_sample,
+        }
+    }
+}
+
 struct FitContext<'a> {
     binned: &'a BinnedMatrix,
     mapper: &'a BinMapper,
@@ -112,32 +147,32 @@ struct BestSplit {
 }
 
 impl Tree {
-    /// Fit a tree to the gradient/hessian statistics of the rows listed in
-    /// `rows`, and return it with the fitted leaf value of **every** row of
-    /// `binned` (not just `rows`).
+    /// Fit a tree to the gradient/hessian statistics of the rows of
+    /// `sample`, and return it with the fitted leaf value of **every** row of
+    /// `binned` (not just the sampled ones).
     ///
-    /// * `binned` is the row-major bin matrix produced by
-    ///   [`BinMapper::bin_dataset`].
+    /// * `binned` is the bin matrix produced by [`BinMapper::bin_dataset`].
     /// * `grad`/`hess` are per-row first/second order derivatives of the loss.
     ///
-    /// The rows of `rows` take their leaf from the partition the fit
-    /// computes anyway; the rows outside it are carried through the same
+    /// The sampled rows take their leaf from the partition the fit computes
+    /// anyway; the rows outside the sample are carried through the same
     /// splits in a second index partition. See [`ScoredFit`].
     ///
     /// The fit runs on the calling thread, and every histogram bin adds up
     /// the node's rows in partition order, so the result is deterministic.
     ///
     /// # Panics
-    /// Panics if `rows` is empty or the inputs disagree on the number of rows.
+    /// Panics if the sample is empty or the inputs disagree on the number of
+    /// rows.
     pub fn fit_scored(
         binned: &BinnedMatrix,
         mapper: &BinMapper,
         grad: &[f64],
         hess: &[f64],
-        rows: &[usize],
+        sample: &RowSample<'_>,
         params: TreeParams,
     ) -> ScoredFit {
-        assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
+        assert!(!sample.rows.is_empty(), "cannot fit a tree on zero rows");
         assert_eq!(grad.len(), hess.len(), "grad and hess must be parallel");
         assert_eq!(
             binned.num_rows(),
@@ -153,29 +188,11 @@ impl Tree {
             params,
         };
         let mut tree = Tree { nodes: Vec::new() };
-        let mut rows_owned: Vec<usize> = rows.to_vec();
-        // Only the rows outside the sample need a partition of their own:
-        // the sampled rows' leaves follow from `rows_owned`.
-        let mut in_sample = vec![false; binned.num_rows()];
-        for &i in rows {
-            if let Some(flag) = in_sample.get_mut(i) {
-                *flag = true;
-            }
-        }
-        let mut tracked: Vec<usize> = in_sample
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &sampled)| (!sampled).then_some(i))
-            .collect();
+        // Both partitions permute their own copies in place.
+        let mut rows = sample.rows.to_vec();
+        let mut tracked = sample.out_of_sample.clone();
         let mut row_values = vec![0.0; binned.num_rows()];
-        tree.build_node(
-            &ctx,
-            &mut rows_owned,
-            &mut tracked,
-            None,
-            0,
-            &mut row_values,
-        );
+        tree.build_node(&ctx, &mut rows, &mut tracked, None, 0, &mut row_values);
         ScoredFit { tree, row_values }
     }
 
@@ -303,19 +320,21 @@ impl Tree {
     }
 
     /// Swap-partition `rows` so indices whose bin of `feature` is
-    /// `<= split_bin` come first; returns the split point. The swap
-    /// permutation is deterministic and shared by the sample and tracked
-    /// partitions.
+    /// `<= split_bin` come first; returns the split point. The bins come
+    /// from the feature's column, and a row outside it counts as bin 0, as
+    /// [`BinnedMatrix::bin`] reads it. The swap permutation is deterministic
+    /// and shared by the sample and tracked partitions.
     fn partition(
         rows: &mut [usize],
         binned: &BinnedMatrix,
         feature: usize,
         split_bin: usize,
     ) -> usize {
+        let column = binned.column(feature);
         let mut split_point = 0;
         for i in 0..rows.len() {
             let row = rows.get(i).copied().unwrap_or(0);
-            if usize::from(binned.bin(row, feature)) <= split_bin {
+            if usize::from(column.get(row).copied().unwrap_or(0)) <= split_bin {
                 rows.swap(i, split_point);
                 split_point += 1;
             }
@@ -464,7 +483,8 @@ mod tests {
         let grad: Vec<f64> = ys.iter().map(|y| -y).collect();
         let hess = vec![1.0; ys.len()];
         let rows: Vec<usize> = (0..ys.len()).collect();
-        let tree = Tree::fit_scored(&binned, &mapper, &grad, &hess, &rows, params).tree;
+        let sample = RowSample::new(&rows, ys.len());
+        let tree = Tree::fit_scored(&binned, &mapper, &grad, &hess, &sample, params).tree;
         (tree, data)
     }
 
@@ -596,7 +616,7 @@ mod tests {
                 &mapper,
                 &grad,
                 &hess,
-                sample,
+                &RowSample::new(sample, 200),
                 TreeParams::default(),
             );
             assert!(
@@ -610,6 +630,59 @@ mod tests {
                     fit.tree.predict_row(data.row(i)).to_bits(),
                     "case {case}: row {i} diverged from the tree walk"
                 );
+            }
+        }
+    }
+
+    /// The swap loop over row-major bins that partitions read before the
+    /// feature-major view.
+    fn reference_partition(
+        rows: &mut [usize],
+        binned: &BinnedMatrix,
+        feature: usize,
+        split_bin: usize,
+    ) -> usize {
+        let mut split_point = 0;
+        for i in 0..rows.len() {
+            if usize::from(binned.bin(rows[i], feature)) <= split_bin {
+                rows.swap(i, split_point);
+                split_point += 1;
+            }
+        }
+        split_point
+    }
+
+    #[test]
+    fn column_partition_is_the_row_major_swap_permutation() {
+        let n = 500;
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                vec![
+                    (i % 37) as f64,
+                    (i * 7 % 11) as f64,
+                    (i as f64 * 0.61).sin(),
+                ]
+            })
+            .collect();
+        let data = Dataset::from_rows(xs, vec![0; n]).unwrap();
+        let mapper = BinMapper::fit(&data, 16);
+        let binned = mapper.bin_dataset(&data);
+        // A shuffled sample as boosting draws it, and the rows it leaves
+        // out in index order, as `RowSample` tracks them.
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        shuffled.shuffle(&mut StdRng::seed_from_u64(41));
+        let sample = RowSample::new(&shuffled[..400], n);
+        assert_eq!(sample.out_of_sample.len(), 100);
+        for rows in [sample.rows, &sample.out_of_sample] {
+            for f in 0..3 {
+                for split_bin in 0..mapper.num_bins(f) {
+                    let mut got = rows.to_vec();
+                    let mut want = rows.to_vec();
+                    let got_split = Tree::partition(&mut got, &binned, f, split_bin);
+                    let want_split = reference_partition(&mut want, &binned, f, split_bin);
+                    assert_eq!(got_split, want_split, "feature {f}, bin {split_bin}");
+                    assert_eq!(got, want, "feature {f}, bin {split_bin}");
+                }
             }
         }
     }
@@ -632,6 +705,14 @@ mod tests {
         let data = Dataset::from_rows(vec![vec![1.0]], vec![0]).unwrap();
         let mapper = BinMapper::fit(&data, 8);
         let binned = mapper.bin_dataset(&data);
-        let _ = Tree::fit_scored(&binned, &mapper, &[0.0], &[1.0], &[], TreeParams::default());
+        let sample = RowSample::new(&[], 1);
+        let _ = Tree::fit_scored(
+            &binned,
+            &mapper,
+            &[0.0],
+            &[1.0],
+            &sample,
+            TreeParams::default(),
+        );
     }
 }

@@ -79,16 +79,23 @@ pub struct LifetimeMlBaseline {
 }
 
 impl LifetimeMlBaseline {
-    /// Train the baseline on a historical trace.
+    /// Train the baseline on a historical trace. Encoding the trace and
+    /// training the model both run under the ambient `byom_exec` budget.
     ///
     /// # Errors
     /// Returns an error if the training trace is empty or model training
     /// fails.
     pub fn train(config: LifetimeModelConfig, train: &Trace) -> Result<Self, GbdtError> {
         let encoder = FeatureEncoder::default();
-        let rows: Vec<Vec<f64>> = train.iter().map(|j| encoder.encode(&j.features)).collect();
-        let labels: Vec<usize> = train.iter().map(|j| config.bucket_of(j.lifetime)).collect();
-        let data = Dataset::from_rows(rows, labels)?;
+        let jobs = train.jobs();
+        let labels: Vec<usize> = jobs.iter().map(|j| config.bucket_of(j.lifetime)).collect();
+        let data = Dataset::from_fn(encoder.num_features(), labels, |i, row| {
+            if let Some(job) = jobs.get(i) {
+                row.iter_mut()
+                    .zip(encoder.encode(&job.features))
+                    .for_each(|(slot, value)| *slot = value);
+            }
+        })?;
         let params = GbdtParams {
             num_classes: config.num_buckets,
             ..config.gbdt

@@ -107,13 +107,14 @@
 //! ## The histogram engine
 //!
 //! GBDT training runs on a histogram engine ([`gbdt::histogram`]): features
-//! are pre-binned into a row-major `u8`
-//! [`BinnedMatrix`](byom_gbdt::BinnedMatrix) so a node's histogram fills in
-//! one pass over its rows, each row adding its gradient statistics to its
-//! bin in every feature, and each split builds only the smaller child's
-//! histogram and derives the sibling as `parent − child`. Each tree fits on
-//! one thread, so fits are bit-identical across thread counts and repeated
-//! runs. Against the pre-engine algorithm, frozen in
+//! are pre-binned into a `u8` [`BinnedMatrix`](byom_gbdt::BinnedMatrix),
+//! row-major for fills and feature-major for partitions. A node's histogram
+//! fills in one pass over its rows, copied a few hundred at a time into
+//! contiguous buffers in partition order, each row adding its gradient
+//! statistics to its bin in every feature; each split builds only the
+//! smaller child's histogram and derives the sibling as `parent − child`.
+//! Each tree fits on one thread, so fits are bit-identical across thread
+//! counts and repeated runs. Against the pre-engine algorithm, frozen in
 //! `byom_bench::legacy_tree`, they choose the same splits, and leaf values
 //! differ only in the last ULPs because subtraction changes the float
 //! accumulation order.

@@ -7,7 +7,7 @@ use byom::prelude::*;
 use byom_bench::{
     legacy_tree, run_clusters_parallel, run_quotas_parallel, ExperimentContext, ExperimentParams,
 };
-use byom_gbdt::Tree;
+use byom_gbdt::{RowSample, Tree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,31 +33,52 @@ fn synthetic_dataset(n: usize, num_features: usize, k: usize, seed: u64) -> Data
 
 #[test]
 fn gbdt_training_is_identical_for_any_parallelism() {
-    let train = synthetic_dataset(1500, 6, 4, 10);
-    let valid = synthetic_dataset(300, 6, 4, 11);
-    let base = GbdtParams {
-        num_classes: 4,
-        num_trees: 12,
-        parallelism: 1,
-        ..Default::default()
-    };
-    let sequential = GradientBoostedTrees::train(&base, &train, Some(&valid)).unwrap();
-    // 8 is above the class count: each class's tree still fits on one
-    // thread, and the spare threads idle.
-    for threads in [2, 4, 8, 0] {
-        let params = GbdtParams {
-            parallelism: threads,
-            ..base
-        };
-        let parallel = GradientBoostedTrees::train(&params, &train, Some(&valid)).unwrap();
-        // Bit-identical trees, reports, and therefore predictions.
-        assert_eq!(sequential, parallel, "parallelism={threads} diverged");
-        for i in 0..50 {
-            assert_eq!(
-                sequential.predict_proba(train.row(i)),
-                parallel.predict_proba(train.row(i)),
-                "prediction {i} diverged at parallelism={threads}"
+    // A round updates its scores in blocks of 1,024 rows. 1,500 training
+    // rows make one full block and a part; 3,500 make three and a ragged
+    // tail of 428, and so do 3,300 validation rows.
+    let small = (
+        synthetic_dataset(1500, 6, 4, 10),
+        synthetic_dataset(300, 6, 4, 11),
+    );
+    let large = (
+        synthetic_dataset(3500, 6, 4, 12),
+        synthetic_dataset(3300, 6, 4, 13),
+    );
+    for (train, valid) in [&small, &large] {
+        for valid in [None, Some(valid)] {
+            let case = format!(
+                "{} rows, validation {:?}",
+                train.len(),
+                valid.map(Dataset::len)
             );
+            let base = GbdtParams {
+                num_classes: 4,
+                num_trees: 12,
+                parallelism: 1,
+                ..Default::default()
+            };
+            let sequential = GradientBoostedTrees::train(&base, train, valid).unwrap();
+            // 8 is above the class count: each class's tree still fits on
+            // one thread, and the score update spreads over every thread.
+            for threads in [2, 3, 8, 0] {
+                let params = GbdtParams {
+                    parallelism: threads,
+                    ..base
+                };
+                let parallel = GradientBoostedTrees::train(&params, train, valid).unwrap();
+                // Bit-identical trees, reports, and therefore predictions.
+                assert_eq!(
+                    sequential, parallel,
+                    "{case}: parallelism={threads} diverged"
+                );
+                for i in 0..50 {
+                    assert_eq!(
+                        sequential.predict_proba(train.row(i)),
+                        parallel.predict_proba(train.row(i)),
+                        "{case}: prediction {i} diverged at parallelism={threads}"
+                    );
+                }
+            }
         }
     }
 }
@@ -74,7 +95,8 @@ fn assert_engine_matches_legacy(case: &str, data: &Dataset, grad: &[f64], hess: 
     let row_major = legacy_tree::bin_dataset_row_major(&mapper, data);
     let rows: Vec<usize> = (0..data.len()).collect();
     let params = byom_gbdt::TreeParams::default();
-    let engine = Tree::fit_scored(&binned, &mapper, grad, hess, &rows, params).tree;
+    let sample = RowSample::new(&rows, data.len());
+    let engine = Tree::fit_scored(&binned, &mapper, grad, hess, &sample, params).tree;
     let legacy = legacy_tree::fit_legacy(
         &row_major,
         data.num_features(),
