@@ -309,9 +309,7 @@ fn encode_dataset(
     let jobs = trace.jobs();
     Dataset::from_fn(encoder.num_features(), labels, |i, row| {
         if let Some(job) = jobs.get(i) {
-            row.iter_mut()
-                .zip(encoder.encode(&job.features))
-                .for_each(|(slot, value)| *slot = value);
+            encoder.encode_into(&job.features, row);
         }
     })
 }

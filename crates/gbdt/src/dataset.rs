@@ -65,7 +65,8 @@ impl Dataset {
     /// Build a dataset of `labels.len()` rows of `num_features` values each,
     /// letting `fill(i, row)` write row `i` into a zeroed slice. Blocks of
     /// rows fill in parallel under the ambient `byom_exec` budget, straight
-    /// into the dataset's storage, so no per-row `Vec` is ever allocated.
+    /// into the dataset's storage, so unlike `from_rows` it needs no per-row
+    /// `Vec`.
     /// The result is what [`from_rows`](Self::from_rows) builds from the
     /// same rows.
     ///

@@ -101,8 +101,10 @@ impl BinnedMatrix {
             .unwrap_or(&[])
     }
 
-    /// Bin index of row `i`, feature `f` (`0` when out of range).
-    pub fn bin(&self, i: usize, f: usize) -> u8 {
+    /// Bin index of row `i`, feature `f` (`0` when out of range), read from
+    /// the row-major storage: the tests' reference for both layouts.
+    #[cfg(test)]
+    pub(crate) fn bin(&self, i: usize, f: usize) -> u8 {
         if f >= self.num_features {
             return 0;
         }
@@ -113,8 +115,8 @@ impl BinnedMatrix {
     }
 
     /// Feature `f`'s bin index for every row, contiguous: `column(f)[i]` is
-    /// [`bin(i, f)`](Self::bin). An out-of-range feature yields an empty
-    /// slice.
+    /// the bin of row `i`, feature `f`. An out-of-range feature yields an
+    /// empty slice.
     pub fn column(&self, f: usize) -> &[u8] {
         if f >= self.num_features {
             return &[];

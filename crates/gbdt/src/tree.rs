@@ -321,9 +321,9 @@ impl Tree {
 
     /// Swap-partition `rows` so indices whose bin of `feature` is
     /// `<= split_bin` come first; returns the split point. The bins come
-    /// from the feature's column, and a row outside it counts as bin 0, as
-    /// [`BinnedMatrix::bin`] reads it. The swap permutation is deterministic
-    /// and shared by the sample and tracked partitions.
+    /// from the feature's column, and a row outside it counts as bin 0. The
+    /// swap permutation is deterministic and shared by the sample and
+    /// tracked partitions.
     fn partition(
         rows: &mut [usize],
         binned: &BinnedMatrix,

@@ -91,9 +91,7 @@ impl LifetimeMlBaseline {
         let labels: Vec<usize> = jobs.iter().map(|j| config.bucket_of(j.lifetime)).collect();
         let data = Dataset::from_fn(encoder.num_features(), labels, |i, row| {
             if let Some(job) = jobs.get(i) {
-                row.iter_mut()
-                    .zip(encoder.encode(&job.features))
-                    .for_each(|(slot, value)| *slot = value);
+                encoder.encode_into(&job.features, row);
             }
         })?;
         let params = GbdtParams {

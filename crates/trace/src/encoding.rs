@@ -11,7 +11,7 @@
 use crate::features::{
     FeatureGroup, JobFeatures, FEATURE_GROUPS, FEATURE_NAMES, NUMERIC_FEATURE_COUNT,
 };
-use crate::metadata::tokenize;
+use crate::metadata::tokens;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -72,17 +72,28 @@ impl FeatureEncoder {
     /// Encode one job's features into a dense numeric vector of length
     /// [`FeatureEncoder::num_features`].
     pub fn encode(&self, features: &JobFeatures) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.num_features());
-        for (value, name) in features.to_numeric().iter().zip(FEATURE_NAMES.iter()) {
-            if LOG_TRANSFORMED.contains(name) {
-                out.push((1.0 + value.max(0.0)).ln());
+        let mut out = vec![0.0; self.num_features()];
+        self.encode_into(features, &mut out);
+        out
+    }
+
+    /// Encode one job's features into `out`, which holds
+    /// [`FeatureEncoder::num_features`] values, overwriting every one and
+    /// allocating nothing. The values equal [`FeatureEncoder::encode`]'s.
+    pub fn encode_into(&self, features: &JobFeatures, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.num_features(), "encoded row width");
+        let (numeric, buckets) = out.split_at_mut(NUMERIC_FEATURE_COUNT.min(out.len()));
+        let values = features.to_numeric().into_iter().zip(FEATURE_NAMES);
+        for (slot, (value, name)) in numeric.iter_mut().zip(values) {
+            *slot = if LOG_TRANSFORMED.contains(&name) {
+                (1.0 + value.max(0.0)).ln()
             } else {
-                out.push(*value);
-            }
+                value
+            };
         }
-        let mut buckets = vec![0.0f64; self.metadata_hash_buckets];
+        buckets.fill(0.0);
         for (field_idx, s) in features.metadata_strings().iter().enumerate() {
-            for token in tokenize(s) {
+            for token in tokens(s) {
                 let mut hasher = DefaultHasher::new();
                 // Include the field index so the same token in different
                 // fields lands in (usually) different buckets.
@@ -94,8 +105,6 @@ impl FeatureEncoder {
                 }
             }
         }
-        out.extend(buckets);
-        out
     }
 }
 
@@ -169,6 +178,16 @@ mod tests {
         other.user_name = "search-queryjoin-user3".into();
         let b = enc.encode(&other);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn encode_into_overwrites_every_value_with_encode() {
+        let enc = FeatureEncoder::default();
+        let mut row = vec![f64::NAN; enc.num_features()];
+        enc.encode_into(&features(), &mut row);
+        assert_eq!(row, enc.encode(&features()));
+        enc.encode_into(&JobFeatures::default(), &mut row);
+        assert_eq!(row, enc.encode(&JobFeatures::default()));
     }
 
     #[test]

@@ -23,9 +23,13 @@ use rand::Rng;
 /// );
 /// ```
 pub fn tokenize(s: &str) -> Vec<&str> {
+    tokens(s).collect()
+}
+
+/// The tokens of [`tokenize`], in order, without collecting them.
+pub fn tokens(s: &str) -> impl Iterator<Item = &str> {
     s.split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
-        .collect()
 }
 
 /// Names of synthetic teams used to build user/pipeline identifiers.

@@ -35,7 +35,7 @@ fn synthetic_dataset(n: usize, num_features: usize, k: usize, seed: u64) -> Data
 fn gbdt_training_is_identical_for_any_parallelism() {
     // A round updates its scores in blocks of 1,024 rows. 1,500 training
     // rows make one full block and a part; 3,500 make three and a ragged
-    // tail of 428, and so do 3,300 validation rows.
+    // tail of 428, and 3,300 validation rows three and a tail of 228.
     let small = (
         synthetic_dataset(1500, 6, 4, 10),
         synthetic_dataset(300, 6, 4, 11),
@@ -58,9 +58,11 @@ fn gbdt_training_is_identical_for_any_parallelism() {
                 ..Default::default()
             };
             let sequential = GradientBoostedTrees::train(&base, train, valid).unwrap();
-            // 8 is above the class count: each class's tree still fits on
-            // one thread, and the score update spreads over every thread.
-            for threads in [2, 3, 8, 0] {
+            // 3 leaves one class waiting for a thread; 4 is the class count,
+            // so every class fits on its own thread with none left over; 8
+            // is above it: each class's tree still fits on one thread, and
+            // the score update spreads over every thread.
+            for threads in [2, 3, 4, 8, 0] {
                 let params = GbdtParams {
                     parallelism: threads,
                     ..base
